@@ -25,11 +25,12 @@ off on multi-core hosts, so the ratio is meaningless without the core
 count next to it.
 
 The entry also records the pooled shard *transport* timings
-(``measure_sharedmem``): the same 8-shard pooled workload driven once over
-the zero-copy ``multiprocessing.shared_memory`` arena and once over the
-per-step pickle baseline, with a ``TransportMeter`` recording the bytes
-each transport actually moved per step — the shared path must move zero
-pickled user-sized payloads.
+(``measure_sharedmem``): an 8-shard pooled workload driven over the
+zero-copy ``multiprocessing.shared_memory`` arena, with a
+``TransportMeter`` recording the bytes it moved per step — the shared
+path must move zero pickled user-sized payloads.  (Older entries also
+carry a per-step pickle-transport baseline; that transport is no longer
+selectable, so newer entries omit it.)
 
 Finally the entry records the retrain-mode timings (``measure_retrain``):
 the per-year refit in ``exact`` (row-level IRLS) vs ``compressed``
@@ -39,7 +40,7 @@ whole-trial wall clocks per mode — the refit is the central serial phase
 of the sharded runner, so this is the Amdahl number.
 
 The entry also records the trial-batched engine timings
-(``measure_trial_batched``): serial vs lockstep ``trial_batch=True``
+(``measure_trial_batched``): serial vs lockstep ``execution="batch"``
 experiment wall clocks (bit-identical by construction) at the 8-trial x
 20k-user x 20-step workload in both retrain modes, and at a 32-trial x
 1k-user Monte-Carlo sweep — the many-seeded-trials regime the batched
@@ -170,8 +171,8 @@ def measure_sharded(num_users: int) -> dict:
     timings: dict = {"cpu_count": os.cpu_count()}
     layouts = [
         ("sharded_trial_1shard_serial_s", {}),
-        ("sharded_trial_2shards_pool_s", dict(num_shards=2, shard_parallel=True)),
-        ("sharded_trial_8shards_pool_s", dict(num_shards=8, shard_parallel=True)),
+        ("sharded_trial_2shards_pool_s", dict(num_shards=2, execution="shard")),
+        ("sharded_trial_8shards_pool_s", dict(num_shards=8, execution="shard")),
     ]
     for key, kwargs in layouts:
         start = time.perf_counter()
@@ -186,22 +187,15 @@ def measure_sharded(num_users: int) -> dict:
 
 
 def measure_sharedmem(num_users: int) -> dict:
-    """Time the pooled shard step transports: shared-memory arena vs pickle.
+    """Time the pooled shard step over the shared-memory arena.
 
-    Both transports run the identical 8-shard pooled layout (the
-    trajectories are bit-identical by construction — the transport moves
-    the same numbers, it just moves them differently), so the comparison
-    isolates the per-step message cost: the ``pickle`` baseline serialises
-    every worker's feature/action/rate rows plus the scattered decision
-    slices through the pool's pipes each step, while the ``shared``
-    transport memcpys them through one ``multiprocessing.shared_memory``
-    arena and sends only constant-size coordination tokens.  A
-    :class:`~repro.core.shardmem.TransportMeter` installed around each run
-    records the per-step bytes each transport actually moved — the
-    structural win that holds on any host — next to the wall clocks, which
-    only separate once real cores exist (on a single-CPU host both sides
-    are dominated by the same serialized compute, so ``cpu_count`` travels
-    with the numbers).
+    The 8-shard pooled layout exchanges every worker's feature/action/rate
+    rows and the scattered decision slices through one
+    ``multiprocessing.shared_memory`` arena and sends only constant-size
+    coordination tokens.  A :class:`~repro.core.shardmem.TransportMeter`
+    installed around the run records the per-step bytes it moved — the
+    structural property that holds on any host — next to the wall clock,
+    which only means something with ``cpu_count`` beside it.
     """
     from repro.core import (
         ClosedLoop,
@@ -213,46 +207,33 @@ def measure_sharedmem(num_users: int) -> dict:
     from repro.credit.lender import Lender
     from repro.data import PopulationSpec, generate_population
 
-    num_steps = 20
-
-    def timed(transport: str) -> tuple[float, TransportMeter]:
-        synthetic = generate_population(PopulationSpec(size=num_users), rng=7)
-        population = CreditPopulation(population=synthetic, start_year=2002)
-        loop = ClosedLoop(
-            ai_system=CreditScoringSystem(Lender(cutoff=0.4, warm_up_rounds=2)),
-            population=population,
-            loop_filter=DefaultRateFilter(num_users=num_users),
+    synthetic = generate_population(PopulationSpec(size=num_users), rng=7)
+    population = CreditPopulation(population=synthetic, start_year=2002)
+    loop = ClosedLoop(
+        ai_system=CreditScoringSystem(Lender(cutoff=0.4, warm_up_rounds=2)),
+        population=population,
+        loop_filter=DefaultRateFilter(num_users=num_users),
+    )
+    meter = TransportMeter()
+    set_transport_meter(meter)
+    try:
+        start = time.perf_counter()
+        loop.run(
+            20,
+            rng=7,
+            history_mode="aggregate",
+            groups=population.groups,
+            num_shards=8,
+            shard_parallel=True,
         )
-        meter = TransportMeter()
-        set_transport_meter(meter)
-        try:
-            start = time.perf_counter()
-            loop.run(
-                num_steps,
-                rng=7,
-                history_mode="aggregate",
-                groups=population.groups,
-                num_shards=8,
-                shard_parallel=True,
-                shard_transport=transport,
-            )
-            elapsed = time.perf_counter() - start
-        finally:
-            set_transport_meter(None)
-        return elapsed, meter
-
-    shared_s, shared_meter = timed("shared")
-    pickle_s, pickle_meter = timed("pickle")
+        elapsed = time.perf_counter() - start
+    finally:
+        set_transport_meter(None)
     return {
-        "sharedmem_8shards_shared_s": round(shared_s, 4),
-        "sharedmem_8shards_pickle_s": round(pickle_s, 4),
-        "sharedmem_wall_clock_speedup_x": round(pickle_s / max(shared_s, 1e-9), 2),
-        "sharedmem_per_step_shared_bytes": int(shared_meter.per_step_shared()),
+        "sharedmem_8shards_shared_s": round(elapsed, 4),
+        "sharedmem_per_step_shared_bytes": int(meter.per_step_shared()),
         "sharedmem_per_step_pickled_bytes_on_shared_path": int(
-            shared_meter.per_step_pickled()
-        ),
-        "sharedmem_per_step_pickled_bytes_baseline": int(
-            pickle_meter.per_step_pickled()
+            meter.per_step_pickled()
         ),
     }
 
@@ -332,7 +313,7 @@ def measure_trial_batched() -> dict:
     ]
     timings: dict = {"cpu_count": os.cpu_count()}
     for key, config, kwargs in workloads:
-        run_experiment(config, trial_batch=True, **kwargs)  # warm caches
+        run_experiment(config, execution="batch", **kwargs)  # warm caches
         serial = min(
             timeit.repeat(
                 lambda: run_experiment(config, **kwargs), number=1, repeat=2
@@ -340,7 +321,7 @@ def measure_trial_batched() -> dict:
         )
         batched = min(
             timeit.repeat(
-                lambda: run_experiment(config, trial_batch=True, **kwargs),
+                lambda: run_experiment(config, execution="batch", **kwargs),
                 number=1,
                 repeat=2,
             )
@@ -487,7 +468,7 @@ def main() -> None:
     parser.add_argument(
         "--skip-sharedmem",
         action="store_true",
-        help="skip the shared-memory vs pickle shard-transport timings",
+        help="skip the shared-memory shard-transport timings",
     )
     parser.add_argument(
         "--skip-retrain",

@@ -253,7 +253,7 @@ def test_bench_trial_batched():
         return run_experiment(config, retrain_mode="compressed")
 
     def batched_run():
-        return run_experiment(config, retrain_mode="compressed", trial_batch=True)
+        return run_experiment(config, retrain_mode="compressed", execution="batch")
 
     batched_run()  # warm caches (income CDFs, numpy internals)
     serial_seconds = min(

@@ -218,7 +218,7 @@ def compressed_variant(reference_series) -> None:
 
 
 def batched_sweep_variant() -> None:
-    """A whole Monte-Carlo sweep in lockstep (``trial_batch=True``).
+    """A whole Monte-Carlo sweep in lockstep (``execution="batch"``).
 
     The paper's figures average many seeded trials of the same loop.  The
     trial-batched engine stacks all of them into ``(trials, users)``
@@ -229,15 +229,16 @@ def batched_sweep_variant() -> None:
     fixed per-step dispatch across the whole sweep (~2.3x on a 32-trial x
     1k-user sweep; see ``BENCH_core.json`` entry ``trial-batched-engine``),
     where process pools would only add IPC; with many real cores, prefer
-    ``parallel=True`` trial pooling instead.
+    ``execution="pool"`` trial pooling instead (or let ``execution="auto"``
+    choose).
     """
     from repro.experiments import CaseStudyConfig, run_experiment
 
     config = CaseStudyConfig(num_users=300, num_trials=6)
     serial = run_experiment(config, retrain_mode="compressed")
-    batched = run_experiment(config, retrain_mode="compressed", trial_batch=True)
+    batched = run_experiment(config, retrain_mode="compressed", execution="batch")
 
-    print("\n-- trial-batched sweep (trial_batch=True, 6 trials in lockstep) --")
+    print('\n-- trial-batched sweep (execution="batch", 6 trials in lockstep) --')
     for index, (serial_trial, batched_trial) in enumerate(
         zip(serial.trials, batched.trials)
     ):

@@ -5,33 +5,37 @@ the cache, and splits the host's cores across the pending jobs via
 :func:`~repro.core.planner.plan_campaign_jobs`; :func:`run_campaign`
 executes the plan.  Cache hits are answered from disk without running
 anything; misses run as whole jobs — the outermost, synchronization-free
-axis of parallelism — on a supervised process pool, each job resolving its
-*own* intra-job layout through :func:`~repro.core.planner.plan_execution`
-against its granted core slice rather than the whole host.
+axis of parallelism — on a supervised process pool.  Each job runs the
+intra-job :class:`~repro.core.planner.ExecutionPlan` that
+:func:`~repro.core.planner.plan_execution` resolves for its granted core
+slice rather than the whole host; the plan travels with the job, so the
+experiment layer never re-plans on its own host view.
 
 Every completed job publishes its result to the cache from inside the
 worker, atomically, before the sweep moves on — so a campaign killed at
 job K resumes by simply re-running: jobs 0..K-1 are hits, the rest
-recompute.  Worker death, hangs and raises retry under the
+recompute.  The job pool is the trial pool's supervised loop
+(:func:`~repro.core.supervision.run_supervised_tasks`): worker death,
+hangs and raises retry under the
 :class:`~repro.core.supervision.SupervisorPolicy` budget and then degrade
-to an in-process run with a :class:`RuntimeWarning`, mirroring the trial
-pool's supervision contract.
+to an in-process run with a :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
 
-import pickle
-import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.campaign.cache import CampaignJobSeries, ResultCache, job_key
 from repro.campaign.spec import CampaignJob, CampaignSpec, expand_campaign
-from repro.core.planner import CampaignBudget, plan_campaign_jobs, plan_execution
-from repro.core.supervision import SupervisorPolicy, WorkerPoolFailure, kill_executor
+from repro.core.planner import (
+    CampaignBudget,
+    ExecutionPlan,
+    plan_campaign_jobs,
+    plan_execution,
+)
+from repro.core.supervision import SupervisorPolicy, run_supervised_tasks
 from repro.experiments.runner import run_experiment
 from repro.testing.faults import fire as _fire_fault
 
@@ -164,21 +168,15 @@ def plan_campaign(
     return CampaignPlan(spec=spec, jobs=jobs, keys=keys, cached=cached, budget=budget)
 
 
-def _execute_job(
-    job: CampaignJob,
-    spec: CampaignSpec,
-    cores_per_job: int,
-    supervisor: SupervisorPolicy | None,
-) -> CampaignJobSeries:
-    """Run one job under its granted core slice and stack its series.
+def _job_plan(
+    job: CampaignJob, spec: CampaignSpec, cores_per_job: int
+) -> ExecutionPlan:
+    """Resolve one job's layout against its granted core slice.
 
-    The job's layout is resolved by :func:`plan_execution` against
-    ``cores_per_job`` — not the host's core count — which is what keeps J
-    concurrent jobs from greedily sizing J full-width pools.  The resolved
-    plan is handed to :func:`run_experiment` as concrete legacy switches,
-    so the experiment layer never re-plans on its own host view.
+    Planning against ``cores_per_job`` — not the host's core count — is
+    what keeps J concurrent jobs from greedily sizing J full-width pools.
     """
-    plan = plan_execution(
+    return plan_execution(
         spec.execution,
         trials=job.config.num_trials,
         users=job.config.num_users,
@@ -188,152 +186,38 @@ def _execute_job(
         cpu_count=cores_per_job,
         num_shards=spec.num_shards,
     )
+
+
+def _execute_job(
+    job: CampaignJob, plan: ExecutionPlan, supervisor: SupervisorPolicy | None
+) -> CampaignJobSeries:
+    """Run one job under its resolved plan and stack its series."""
     result = run_experiment(
         job.config,
         policy_factory=job.policy_factory(),
         income_table=job.income_table(),
-        parallel=plan.parallel,
-        max_workers=plan.max_workers,
-        trial_batch=plan.trial_batch,
-        num_shards=plan.num_shards,
-        shard_parallel=plan.shard_parallel,
-        shard_transport=spec.shard_transport,
         supervisor=supervisor,
+        execution=plan,
     )
     return CampaignJobSeries.from_experiment(result)
 
 
 def _run_campaign_job(
-    payload: Tuple[CampaignJob, CampaignSpec, str, str, int, SupervisorPolicy | None]
+    payload: Tuple[CampaignJob, ExecutionPlan, str, str, SupervisorPolicy | None]
 ) -> CampaignJobSeries:
-    """Executor entry point: run one campaign job and publish its result.
+    """Job-pool entry point: run one campaign job and publish its result.
 
     The worker stores the cache entry itself (atomically) before
     returning, so a sweep killed after this job completes keeps it across
     the resume — the parent process never holds unpublished results.
     """
-    job, spec, cache_dir, key, cores_per_job, supervisor = payload
+    job, plan, cache_dir, key, supervisor = payload
     # Chaos-suite hook: lets a test deterministically kill/hang/fail the
     # sweep at a chosen job to exercise campaign-level resume.
     _fire_fault("campaign_job", trial=job.index)
-    series = _execute_job(job, spec, cores_per_job, supervisor)
+    series = _execute_job(job, plan, supervisor)
     ResultCache(cache_dir).store(key, series)
     return series
-
-
-def _is_picklable(value: object) -> bool:
-    try:
-        pickle.dumps(value)
-        return True
-    except Exception:
-        return False
-
-
-def _run_jobs_supervised(
-    pending: List[CampaignJob],
-    keys: Dict[int, str],
-    spec: CampaignSpec,
-    cache_dir: str,
-    budget: CampaignBudget,
-    supervisor: SupervisorPolicy | None,
-) -> Dict[int, CampaignJobSeries]:
-    """Run pending jobs on a supervised pool; ``None``-free result map.
-
-    Mirrors the trial pool's supervision contract: a worker death or hang
-    tears the pool down, keeps every published result, and re-runs only
-    the lost jobs after a backoff; a raise inside one job retries just
-    that job; a job past ``supervisor.max_retries`` degrades to an
-    in-process run with a :class:`RuntimeWarning` (surfacing its own
-    deterministic error, if that is what keeps killing workers).
-    """
-    policy = supervisor or SupervisorPolicy()
-
-    def payload_for(job: CampaignJob) -> tuple:
-        return (job, spec, cache_dir, keys[job.index], budget.cores_per_job, supervisor)
-
-    results: Dict[int, CampaignJobSeries] = {}
-    attempts: Dict[int, int] = {job.index: 0 for job in pending}
-    by_index = {job.index: job for job in pending}
-    waiting = [job.index for job in pending]
-    executor: ProcessPoolExecutor | None = None
-    pool_failures = 0
-    try:
-        while waiting:
-            for index in [i for i in waiting if attempts[i] > policy.max_retries]:
-                warnings.warn(
-                    f"campaign job {by_index[index].job_id!r} exhausted its "
-                    f"retry budget ({policy.max_retries} retries); running it "
-                    "in-process",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                series = _execute_job(
-                    by_index[index], spec, budget.cores_per_job, supervisor
-                )
-                ResultCache(cache_dir).store(keys[index], series)
-                results[index] = series
-            waiting = [i for i in waiting if i not in results]
-            if not waiting:
-                break
-            failure: WorkerPoolFailure | None = None
-            try:
-                if executor is None:
-                    executor = ProcessPoolExecutor(
-                        max_workers=min(budget.job_workers, len(waiting))
-                    )
-                future_map = {
-                    executor.submit(
-                        _run_campaign_job, payload_for(by_index[index])
-                    ): index
-                    for index in waiting
-                }
-            except (pickle.PicklingError, BrokenProcessPool) as error:
-                failure = WorkerPoolFailure("submitting jobs failed", error)
-                future_map = {}
-            outstanding = set(future_map)
-            while outstanding and failure is None:
-                done, _ = wait(
-                    outstanding, timeout=policy.timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    failure = WorkerPoolFailure(
-                        "no job completed within the supervision timeout", None
-                    )
-                    break
-                for future in done:
-                    index = future_map[future]
-                    outstanding.discard(future)
-                    try:
-                        results[index] = future.result()
-                    except BrokenProcessPool as error:
-                        failure = WorkerPoolFailure("a job worker process died", error)
-                        break
-                    except Exception:
-                        # The job itself raised: retry just this one.
-                        attempts[index] += 1
-            waiting = [i for i in waiting if i not in results]
-            if failure is not None and waiting:
-                pool_failures += 1
-                for index in waiting:
-                    attempts[index] += 1
-                kill_executor(executor)
-                executor = None
-                cause = failure.cause if failure.cause is not None else failure
-                warnings.warn(
-                    f"campaign job pool failure ({failure.reason}: {cause!r}); "
-                    f"rebuilding the pool and re-running {len(waiting)} lost "
-                    f"job(s) (pool failure {pool_failures})",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                policy.sleep_before_retry(pool_failures)
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-            executor = None
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-    return results
 
 
 def run_campaign(
@@ -382,27 +266,42 @@ def run_campaign(
         len(pending), cpu_count=cpu_count, max_workers=spec.max_workers
     )
     if pending:
-        computed: Dict[int, CampaignJobSeries] = {}
-        pooled = (
-            budget.job_workers > 1
-            and len(pending) > 1
-            and _is_picklable(
-                (pending[0], spec, str(cache.directory), keys[pending[0].index],
-                 budget.cores_per_job, supervisor)
+        by_index = {job.index: job for job in pending}
+        plans = {
+            job.index: _job_plan(job, spec, budget.cores_per_job) for job in pending
+        }
+        cache_path = str(cache.directory)
+
+        def payload_for(index: int, attempts: int = 0) -> tuple:
+            return (by_index[index], plans[index], cache_path, keys[index], supervisor)
+
+        def run_in_process(index: int) -> CampaignJobSeries:
+            # Past its retry budget a job runs here, without the worker's
+            # chaos hook, so a poisoned worker cannot sink the sweep.
+            series = _execute_job(by_index[index], plans[index], supervisor)
+            cache.store(keys[index], series)
+            return series
+
+        computed: Dict[int, CampaignJobSeries] | None = None
+        if budget.job_workers > 1 and len(pending) > 1:
+            computed = run_supervised_tasks(
+                _run_campaign_job,
+                list(by_index),
+                payload_for,
+                run_in_process,
+                workers=budget.job_workers,
+                supervisor=supervisor,
+                pool_name="campaign job pool",
+                noun="job",
+                describe=lambda index: f"campaign job {by_index[index].job_id!r}",
             )
-        )
-        if pooled:
-            computed = _run_jobs_supervised(
-                pending, keys, spec, str(cache.directory), budget, supervisor
-            )
-        else:
-            for job in pending:
-                # Same chaos hook as the pooled worker, so the serial path
-                # can be killed (and resumed) at a chosen job too.
-                _fire_fault("campaign_job", trial=job.index)
-                series = _execute_job(job, spec, budget.cores_per_job, supervisor)
-                cache.store(keys[job.index], series)
-                computed[job.index] = series
+        if computed is None:
+            # The serial path runs the pooled worker's entry point itself,
+            # chaos hook included, so it can be killed (and resumed) at a
+            # chosen job too.
+            computed = {
+                index: _run_campaign_job(payload_for(index)) for index in by_index
+            }
         for job in pending:
             outcomes[job.index] = JobOutcome(
                 job=job,

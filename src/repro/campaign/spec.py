@@ -14,7 +14,10 @@ drift) and the policy registry onto the paper's lender, the baseline
 policies (:mod:`repro.baselines`) and the control-theoretic interventions
 (:mod:`repro.control`).  Registered names are the spec's vocabulary;
 unknown names fail at validation time with the known vocabulary in the
-error, not at job 900 of a sweep.
+error, not at job 900 of a sweep.  The same holds for value types: every
+count must be an integer, every flag a boolean and every numeric arm
+parameter a finite real number, checked when the spec is built — never
+coerced, and never left to fail inside a job worker.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.credit.lender import Lender
 from repro.data.census import IncomeTable, Race
 from repro.data.scenarios import recession_scenario, widening_gap_scenario
 from repro.experiments.config import CaseStudyConfig
+from repro.utils.validation import require_flag, require_integer, require_real
 
 __all__ = [
     "ArmRef",
@@ -50,23 +54,62 @@ __all__ = [
     "scenario_names",
 ]
 
-#: Registered scenario names → the keyword parameters they accept.
-_SCENARIOS: Dict[str, Tuple[str, ...]] = {
-    "baseline": (),
-    "recession": ("shock_years", "downshift"),
-    "widening-gap": ("disadvantaged", "annual_downshift", "start_year"),
+#: Registered scenario names → their keyword parameters → the parameter
+#: kind (see :func:`_check_param`).
+_SCENARIOS: Dict[str, Dict[str, str]] = {
+    "baseline": {},
+    "recession": {"shock_years": "years", "downshift": "real"},
+    "widening-gap": {
+        "disadvantaged": "race",
+        "annual_downshift": "real",
+        "start_year": "int",
+    },
 }
 
-#: Registered policy names → the keyword parameters they accept.
-_POLICIES: Dict[str, Tuple[str, ...]] = {
-    "retraining": (),
-    "static": ("training_rounds",),
-    "uniform-limit": ("max_default_rate",),
-    "income-multiple": ("minimum_income", "max_default_rate"),
-    "parity": ("target_approval_rate",),
-    "steering": ("gain",),
-    "epsilon-greedy": ("epsilon", "exploration_seed"),
+#: Registered policy names → their keyword parameters → the parameter kind.
+_POLICIES: Dict[str, Dict[str, str]] = {
+    "retraining": {},
+    "static": {"training_rounds": "int"},
+    "uniform-limit": {"max_default_rate": "real"},
+    "income-multiple": {"minimum_income": "real", "max_default_rate": "real or none"},
+    "parity": {"target_approval_rate": "real"},
+    "steering": {"gain": "real"},
+    "epsilon-greedy": {"epsilon": "real", "exploration_seed": "int"},
 }
+
+
+def _race(value: object, name: str) -> Race:
+    """Return the :class:`Race` a scenario parameter names."""
+    if isinstance(value, Race):
+        return value
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a race name, got {value!r}")
+    try:
+        return Race[value.upper().replace(" ", "_")]
+    except KeyError:
+        raise ValueError(
+            f"{name}: unknown race {value!r}; "
+            f"known: {', '.join(race.name for race in Race)}"
+        ) from None
+
+
+def _check_param(kind: str, name: str, value: object) -> None:
+    """Reject an arm parameter whose type the arm cannot use."""
+    if kind == "real or none" and value is None:
+        return
+    if kind in ("real", "real or none"):
+        require_real(value, name)
+    elif kind == "int":
+        require_integer(value, name)
+    elif kind == "years":
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be an array of years, got {value!r}")
+        for year in value:
+            require_integer(year, name)
+    elif kind == "race":
+        _race(value, name)
+    else:  # pragma: no cover - registry typo
+        raise AssertionError(f"unknown parameter kind {kind!r}")
 
 
 def scenario_names() -> Tuple[str, ...]:
@@ -104,9 +147,10 @@ class ArmRef:
 
 
 def _normalize_arm(
-    entry: object, registry: Mapping[str, Tuple[str, ...]], kind: str
+    entry: object, registry: Mapping[str, Mapping[str, str]], kind: str
 ) -> ArmRef:
     """Canonicalise a spec entry (string or mapping) into an :class:`ArmRef`."""
+    field_name = f"{kind}s" if kind == "scenario" else "policies"
     if isinstance(entry, ArmRef):
         name, params = entry.name, entry.param_dict()
     elif isinstance(entry, str):
@@ -114,26 +158,29 @@ def _normalize_arm(
     elif isinstance(entry, Mapping):
         if "name" not in entry:
             raise ValueError(
-                f'a {kind} table needs a "name" key naming the arm '
+                f'{field_name}: a {kind} table needs a "name" key naming the arm '
                 f"(known {kind}s: {', '.join(sorted(registry))})"
             )
-        params = {str(key): value for key, value in entry.items() if key != "name"}
-        name = str(entry["name"])
+        params = {key: value for key, value in entry.items() if key != "name"}
+        name = entry["name"]
     else:
         raise ValueError(
-            f"a {kind} entry must be a name or a table, got {entry!r}"
+            f"{field_name}: a {kind} entry must be a name or a table, got {entry!r}"
         )
-    if name not in registry:
+    if not isinstance(name, str) or name not in registry:
         raise ValueError(
-            f"unknown {kind} {name!r}; known {kind}s: {', '.join(sorted(registry))}"
+            f"{field_name}: unknown {kind} {name!r}; "
+            f"known {kind}s: {', '.join(sorted(registry))}"
         )
     allowed = registry[name]
-    unknown = sorted(set(params) - set(allowed))
+    unknown = sorted(str(key) for key in set(params) - set(allowed))
     if unknown:
         raise ValueError(
-            f"{kind} {name!r} does not accept parameter(s) "
+            f"{field_name}: {kind} {name!r} does not accept parameter(s) "
             f"{', '.join(unknown)}; it accepts: {', '.join(allowed) or '(none)'}"
         )
+    for key, value in params.items():
+        _check_param(allowed[key], f"{field_name}: {kind} {name!r} {key}", value)
     # Lists from TOML/JSON become tuples so the reference stays hashable.
     canonical = {
         key: tuple(value) if isinstance(value, list) else value
@@ -158,17 +205,10 @@ def build_scenario_table(scenario: ArmRef) -> IncomeTable | None:
             downshift=float(params.get("downshift", 0.35)),
         )
     if scenario.name == "widening-gap":
-        disadvantaged = params.get("disadvantaged", Race.BLACK)
-        if isinstance(disadvantaged, str):
-            try:
-                disadvantaged = Race[disadvantaged.upper().replace(" ", "_")]
-            except KeyError:
-                raise ValueError(
-                    f"unknown race {params['disadvantaged']!r}; "
-                    f"known: {', '.join(race.name for race in Race)}"
-                ) from None
         return widening_gap_scenario(
-            disadvantaged=disadvantaged,
+            disadvantaged=_race(
+                params.get("disadvantaged", Race.BLACK), "disadvantaged"
+            ),
             annual_downshift=float(params.get("annual_downshift", 0.03)),
             start_year=int(params.get("start_year", 2010)),
         )
@@ -248,8 +288,10 @@ class CampaignSpec:
     ``policies`` × ``population_sizes`` × ``seeds`` × ``retrain_modes``,
     with the shared calendar window, trial count, recording mode and
     warm-start flag.  Run options (``execution``, ``max_workers``,
-    ``num_shards``, ``shard_transport``) steer only *how* jobs execute —
-    every layout is bit-identical — and are excluded from cache keys.
+    ``num_shards``) steer only *how* jobs execute — every layout is
+    bit-identical — and are excluded from cache keys.  Counts must be
+    integers and ``warm_start`` a boolean; each rejection is a
+    :class:`ValueError` naming the field.
     """
 
     name: str = "campaign"
@@ -268,7 +310,6 @@ class CampaignSpec:
     execution: str = "auto"
     max_workers: int | None = None
     num_shards: int | None = None
-    shard_transport: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -284,17 +325,28 @@ class CampaignSpec:
         object.__setattr__(self, "population_sizes", tuple(self.population_sizes))
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "retrain_modes", tuple(self.retrain_modes))
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if not self.scenarios or not self.policies:
-            raise ValueError("a campaign needs at least one scenario and one policy")
+            raise ValueError(
+                "a campaign needs at least one scenario and one policy: "
+                "scenarios and policies must be non-empty"
+            )
         if not self.population_sizes or not self.seeds or not self.retrain_modes:
             raise ValueError(
                 "population_sizes, seeds and retrain_modes must be non-empty"
             )
         for size in self.population_sizes:
-            if int(size) <= 0:
-                raise ValueError(f"population sizes must be positive, got {size}")
-        if self.num_trials <= 0:
+            if require_integer(size, "population_sizes") <= 0:
+                raise ValueError(f"population_sizes must be positive, got {size}")
+        for seed in self.seeds:
+            require_integer(seed, "seeds")
+        if require_integer(self.num_trials, "num_trials") <= 0:
             raise ValueError("num_trials must be positive")
+        if require_integer(self.end_year, "end_year") < require_integer(
+            self.start_year, "start_year"
+        ):
+            raise ValueError("end_year must not precede start_year")
         if self.history_mode not in ("full", "aggregate"):
             raise ValueError(
                 f'history_mode must be "full" or "aggregate", got {self.history_mode!r}'
@@ -302,21 +354,18 @@ class CampaignSpec:
         for mode in self.retrain_modes:
             if mode not in ("exact", "compressed"):
                 raise ValueError(
-                    f'retrain modes must be "exact" or "compressed", got {mode!r}'
+                    'retrain_modes: retrain modes must be "exact" or '
+                    f'"compressed", got {mode!r}'
                 )
+        require_flag(self.warm_start, "warm_start")
         if self.execution not in EXECUTION_MODES:
             raise ValueError(
                 f"execution must be one of {EXECUTION_MODES}, got {self.execution!r}"
             )
-        if self.max_workers is not None and self.max_workers <= 0:
-            raise ValueError("max_workers must be positive when given")
-        if self.num_shards is not None and self.num_shards <= 0:
-            raise ValueError("num_shards must be positive when given")
-        if self.shard_transport not in (None, "shared", "pickle"):
-            raise ValueError(
-                'shard_transport must be "shared" or "pickle" when given, '
-                f"got {self.shard_transport!r}"
-            )
+        for name in ("max_workers", "num_shards"):
+            value = getattr(self, name)
+            if value is not None and require_integer(value, name) <= 0:
+                raise ValueError(f"{name} must be positive when given")
 
     @property
     def grid_size(self) -> int:
@@ -432,7 +481,7 @@ def _spec_from_mapping(data: Mapping[str, object], origin: str) -> CampaignSpec:
             f"{origin}: unknown spec key(s) {', '.join(unknown)}; "
             f"known keys: {', '.join(sorted(known))} (plus a [run] section)"
         )
-    known_run = {"execution", "max_workers", "num_shards", "shard_transport"}
+    known_run = {"execution", "max_workers", "num_shards"}
     unknown_run = sorted(set(run_options) - known_run)
     if unknown_run:
         raise ValueError(

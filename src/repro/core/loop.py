@@ -101,7 +101,6 @@ __all__ = ["ClosedLoop"]
 
 _MAX_SEED = 2**63 - 1
 _RETRAIN_MODES = ("exact", "compressed")
-_SHARD_TRANSPORTS = ("shared", "pickle")
 
 
 def _resolve_population_plan(population) -> Tuple[ShardPlan, bool]:
@@ -567,7 +566,6 @@ class ClosedLoop:
         retrain_mode: str | None = None,
         checkpoint: CheckpointSpec | None = None,
         supervisor: SupervisorPolicy | None = None,
-        shard_transport: str = "shared",
     ) -> SimulationHistory | AggregateHistory:
         """Run the loop for ``num_steps`` steps and return the history.
 
@@ -649,16 +647,6 @@ class ClosedLoop:
             budget the run degrades to the bit-identical serial path with
             a :class:`RuntimeWarning`.  ``None`` applies the default
             policy.
-        shard_transport:
-            Transport of the pooled path's per-step payloads:
-            ``"shared"`` (default) exchanges the feature/decision/action
-            arrays through one
-            :class:`~repro.core.shardmem.SharedMemoryArena` per pool
-            (workers write their shard slices in place, the orchestrator
-            reads whole rows — bit-identical values, no per-step
-            pickling); ``"pickle"`` keeps the legacy executor messages.
-            Populations that don't expose ``feature_channels`` use the
-            pickle transport regardless.
         """
         if num_steps < 0:
             raise ValueError("num_steps must be non-negative")
@@ -672,11 +660,6 @@ class ClosedLoop:
             raise ValueError(
                 f'retrain_mode must be one of {_RETRAIN_MODES} (or None), '
                 f"got {retrain_mode!r}"
-            )
-        if shard_transport not in _SHARD_TRANSPORTS:
-            raise ValueError(
-                f"shard_transport must be one of {_SHARD_TRANSPORTS}, "
-                f"got {shard_transport!r}"
             )
         continuing = history is not None and history.num_steps > 0
         self._resolve_stream_base(rng, continuing=continuing)
@@ -702,7 +685,6 @@ class ClosedLoop:
                 retrain_mode,
                 checkpoint=checkpoint,
                 supervisor=supervisor,
-                shard_transport=shard_transport,
             )
             if pooled is not None:
                 return pooled
@@ -957,9 +939,7 @@ class ClosedLoop:
             return None
         return spec
 
-    def _build_arena(
-        self, shard_transport: str, num_workers: int
-    ) -> SharedMemoryArena | None:
+    def _build_arena(self, num_workers: int) -> SharedMemoryArena | None:
         """Allocate the pool's shared arena, or ``None`` for pickling.
 
         Requires the population to declare its public-feature channel
@@ -968,8 +948,6 @@ class ClosedLoop:
         bit-identical.  An allocation failure (no ``/dev/shm``, exhausted
         segment quota) also degrades to pickling, with a warning.
         """
-        if shard_transport != "shared":
-            return None
         channels = getattr(self._population, "feature_channels", None)
         if channels is None:
             return None
@@ -992,7 +970,6 @@ class ClosedLoop:
         prior_rate: float,
         suffstats_spec: Dict[str, object] | None,
         policy: SupervisorPolicy,
-        shard_transport: str = "shared",
     ) -> _ShardWorkerPool:
         """Start a worker pool seeded with the filter's *current* state.
 
@@ -1000,9 +977,9 @@ class ClosedLoop:
         both a fresh start (all-zero counts, identical to plain worker
         construction) and a supervised restart from a mid-run snapshot
         (each rebuilt worker resumes its shard's exact integer counts).
-        Every call allocates a fresh arena (when the transport is shared),
-        so a supervised rebuild never reuses a segment a dying worker
-        might still be writing.
+        Every call allocates a fresh arena (for populations with feature
+        channels), so a supervised rebuild never reuses a segment a dying
+        worker might still be writing.
         """
         state = self._filter.export_state()
         filter_states = [
@@ -1010,7 +987,7 @@ class ClosedLoop:
         ]
         self._pool_token_counter += 1
         token = f"closedloop-{id(self):x}-{self._pool_token_counter}"
-        arena = self._build_arena(shard_transport, len(shards))
+        arena = self._build_arena(len(shards))
         return _ShardWorkerPool(
             shards,
             self._stream_base,
@@ -1030,7 +1007,6 @@ class ClosedLoop:
         retrain_mode: str | None = None,
         checkpoint: CheckpointSpec | None = None,
         supervisor: SupervisorPolicy | None = None,
-        shard_transport: str = "shared",
     ) -> SimulationHistory | AggregateHistory | None:
         """Run the shards on supervised worker processes.
 
@@ -1068,9 +1044,7 @@ class ClosedLoop:
         # probing would serialize every population slice a second time.
         suffstats_spec = self._resolve_suffstats_spec(retrain_mode)
         try:
-            pool = self._start_pool(
-                shards, prior_rate, suffstats_spec, policy, shard_transport
-            )
+            pool = self._start_pool(shards, prior_rate, suffstats_spec, policy)
         except Exception as error:
             self._warn_serial_fallback("starting the worker pool failed", error)
             return None
@@ -1112,7 +1086,7 @@ class ClosedLoop:
                     try:
                         shards = shard_population(self._population, num_shards)
                         pool = self._start_pool(
-                            shards, prior_rate, suffstats_spec, policy, shard_transport
+                            shards, prior_rate, suffstats_spec, policy
                         )
                         continue
                     except Exception as rebuild_error:

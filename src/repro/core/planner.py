@@ -1,24 +1,25 @@
 """The unified execution planner: one knob in front of three layouts.
 
-The engine grew three execution layouts, each with its own switch and its
-own rule of thumb:
+The engine has three execution layouts, each with its own rule of thumb:
 
-* ``trial_batch`` — the lockstep tensor engine: best with one core and
-  many trials (it amortises the per-step Python dispatch, not the math);
-* ``parallel`` — the trial process pool: best with several cores and
-  several heavy trials;
-* ``num_shards``/``shard_parallel`` — the intra-trial shard pool: best
-  with several cores and one giant trial.
+* batch — the lockstep tensor engine: best with one core and many trials
+  (it amortises the per-step Python dispatch, not the math);
+* pool — the trial process pool: best with several cores and several
+  heavy trials;
+* shard — the intra-trial shard pool: best with several cores and one
+  giant trial.
 
 :func:`plan_execution` folds that folklore into code: given the workload
 shape (trials, users, steps), the host (``cpu_count``), the recording and
-retraining modes, and the checkpoint knobs, it resolves a single
-``execution`` request — ``"auto"``, ``"serial"``, ``"batch"``, ``"pool"``
-or ``"shard"`` — into an :class:`ExecutionPlan` holding the concrete
-layout switches the runner threads through.  ``"auto"`` may *compose*
-layouts (trial pooling × user sharding when cores outnumber trials); an
-optional calibration micro-bench (:func:`measure_dispatch_overhead`)
-refines the batch-vs-serial call on dispatch-bound workloads.
+retraining modes, and the checkpoint knobs, it resolves the single
+``execution`` knob — ``"auto"``, ``"serial"``, ``"batch"``, ``"pool"`` or
+``"shard"`` — into an :class:`ExecutionPlan`.  Each top-level run resolves
+one plan and everything below it (trial-pool workers, in-process
+fallbacks, campaign jobs) runs that plan instead of re-planning.
+``"auto"`` may *compose* layouts (trial pooling × user sharding when cores
+outnumber trials); an optional calibration micro-bench
+(:func:`measure_dispatch_overhead`) refines the batch-vs-serial call on
+dispatch-bound workloads.
 
 Two invariants the rest of the engine supplies and the planner preserves:
 
@@ -32,9 +33,8 @@ Two invariants the rest of the engine supplies and the planner preserves:
   under one plan resumes bit-identically under another — including
   ``execution="auto"`` resumed on a host with a different ``cpu_count``.
 
-Forbidden combinations (``"batch"`` × checkpointing, the ``execution``
-knob alongside the legacy layout switches) are rejected at configuration
-time by :func:`validate_execution_settings`, mirroring
+The one forbidden combination (batch × checkpointing) is rejected at
+configuration time by :func:`validate_execution_settings`, mirroring
 :func:`repro.experiments.config.validate_checkpoint_settings`.
 """
 
@@ -106,35 +106,30 @@ def _detect_cpu_count() -> int:
 
 
 def validate_execution_settings(
-    execution: Optional[str],
+    execution: str | ExecutionPlan,
     *,
-    parallel: bool = False,
-    trial_batch: bool = False,
-    shard_parallel: bool = False,
     checkpoint_every: int = 0,
     resume: bool = False,
 ) -> None:
-    """Reject unusable ``execution`` combinations with actionable errors.
+    """Reject unusable ``execution`` settings with actionable errors.
 
-    Called from :class:`~repro.experiments.config.CaseStudyConfig`
-    construction and from the runners' override merges, so a bad
-    combination fails at configuration time — the same contract as
+    ``execution`` is a mode name or an already-resolved
+    :class:`ExecutionPlan`.  Called from
+    :class:`~repro.experiments.config.CaseStudyConfig` construction and
+    from the runners' override merges, so a bad combination fails at
+    configuration time — the same contract as
     :func:`~repro.experiments.config.validate_checkpoint_settings`.
     """
-    if execution is None:
-        return
-    if execution not in EXECUTION_MODES:
+    if isinstance(execution, ExecutionPlan):
+        batched = execution.trial_batch
+    elif isinstance(execution, str) and execution in EXECUTION_MODES:
+        batched = execution == "batch"
+    else:
         raise ValueError(
-            f"execution must be one of {EXECUTION_MODES} (or None), "
+            f"execution must be one of {EXECUTION_MODES} or an ExecutionPlan, "
             f"got {execution!r}"
         )
-    if parallel or trial_batch or shard_parallel:
-        raise ValueError(
-            "the execution knob replaces the legacy layout switches: drop "
-            "parallel/trial_batch/shard_parallel when setting execution "
-            f"(got execution={execution!r})"
-        )
-    if execution == "batch" and (checkpoint_every > 0 or resume):
+    if batched and (checkpoint_every > 0 or resume):
         raise ValueError(
             'execution="batch" is incompatible with checkpointing (the '
             "batched engine advances all trials in lockstep with no "
@@ -155,8 +150,9 @@ class ExecutionPlan:
         The resolved headline layout: ``"serial"``, ``"batch"``,
         ``"pool"``, ``"shard"`` or the composition ``"pool+shard"``.
     trial_batch, parallel, max_workers, num_shards, shard_parallel:
-        The concrete switches the runner threads into
-        ``run_experiment``/``run_trial``/``ClosedLoop.run``.
+        The concrete layout the runners execute: lockstep trials, a trial
+        pool of ``max_workers`` processes, and/or ``num_shards`` shard
+        workers per trial.
     cpu_count:
         The core count the planner saw.  Recorded for diagnostics only —
         it is *excluded* from checkpoint fingerprints, so plans chosen on

@@ -52,9 +52,9 @@ implicit semantics the batched counts do not reproduce.)
 
 Trade-off vs. the other execution modes: trial batching wins on few cores
 and many trials (it removes per-trial dispatch without spawning
-processes); trial-level pooling (``parallel=True``) wins when real cores
-exist and trials are few and heavy; intra-trial sharding
-(``shard_parallel``) targets single giant trials.  ``BENCH_core.json``
+processes); trial-level pooling (``execution="pool"``) wins when real
+cores exist and trials are few and heavy; intra-trial sharding
+(``execution="shard"``) targets single giant trials.  ``BENCH_core.json``
 (entry ``trial-batched-engine``) records the measured crossover.  That
 rule of thumb is now code: ``execution="auto"``
 (:func:`repro.core.planner.plan_execution`) selects this engine exactly
@@ -447,7 +447,7 @@ class BatchedTrialRunner:
                         raise ValueError(
                             "trial-batched execution requires 0/1 decisions; "
                             "the AI system returned other values (run "
-                            "without trial_batch for non-binary decisions)"
+                            "another execution mode for non-binary decisions)"
                         )
                     decisions[trial] = decisions_row
                     step_features.append(features)

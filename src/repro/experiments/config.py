@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Tuple
 
-from repro.core.planner import validate_execution_settings
+from repro.core.planner import ExecutionPlan, validate_execution_settings
 from repro.data.census import Race, paper_race_mix
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_flag, require_integer, require_positive
 
 __all__ = [
     "CaseStudyConfig",
@@ -27,7 +27,6 @@ def validate_checkpoint_settings(
     checkpoint_dir: str | None,
     checkpoint_every: int,
     resume: bool,
-    trial_batch: bool = False,
 ) -> None:
     """Reject unusable checkpoint knob combinations with actionable errors.
 
@@ -49,13 +48,25 @@ def validate_checkpoint_settings(
             "resume=True needs somewhere to look for checkpoints: "
             "set checkpoint_dir (CLI: --checkpoint-dir)"
         )
-    if trial_batch and (checkpoint_every > 0 or resume):
-        raise ValueError(
-            "checkpointing is not supported with trial_batch (the batched "
-            "engine advances all trials in lockstep with no per-trial "
-            "boundary to snapshot); disable trial_batch, or drop the "
-            "checkpoint_every/resume knobs"
-        )
+
+
+#: Integer-valued fields, validated (and numpy integers normalised to
+#: ``int``) at construction; the optional ones may also be ``None``.
+_COUNT_FIELDS = (
+    "num_users",
+    "num_trials",
+    "start_year",
+    "end_year",
+    "warm_up_rounds",
+    "seed",
+    "max_workers",
+    "num_shards",
+    "checkpoint_every",
+)
+_OPTIONAL_COUNT_FIELDS = ("max_workers",)
+
+#: Boolean fields, validated at construction.
+_FLAG_FIELDS = ("warm_start", "resume")
 
 
 @dataclass(frozen=True)
@@ -98,25 +109,16 @@ class CaseStudyConfig:
         two modes; per-user accessors raise
         :class:`~repro.core.history.FullHistoryRequiredError` in aggregate
         mode.
-    parallel:
-        Run the experiment's trials concurrently.  Each trial draws from its
-        own :func:`~repro.utils.rng.derive_seed` stream, so the results are
-        bit-identical to the serial path regardless of scheduling.
     max_workers:
-        Worker cap for the parallel runner (``None`` lets
-        :mod:`concurrent.futures` pick from the CPU count).
+        Worker-count hint for the trial pool (``None`` lets the planner
+        size it from the CPU count).
     num_shards:
-        Number of worker shards the users of *one trial* are grouped onto
-        when ``shard_parallel`` is set.  The random schedule depends only
+        Worker-count hint for the shard pool that splits the users of
+        *one trial* (the default ``1`` means "unset": the planner sizes
+        the pool from the CPU count).  The random schedule depends only
         on the population's canonical shard partition
         (:class:`~repro.core.sharding.ShardPlan`), never on this worker
-        count, so every value — serial or pooled — yields bit-identical
-        trajectories.
-    shard_parallel:
-        Execute each trial's worker shards on a process pool (intra-trial
-        parallelism, for when the per-trial loop is the bottleneck).  Falls
-        back to the bit-identical serial path when the trial cannot be
-        sharded (non-default filter, unpicklable population, nested pools).
+        count, so every value yields bit-identical trajectories.
     retrain_mode:
         Yearly refit strategy of the scorecard lender: ``"exact"``
         (default) runs the row-level IRLS on every user, reproducing the
@@ -133,19 +135,6 @@ class CaseStudyConfig:
         Seed each yearly refit's Newton iteration at the previous year's
         parameters.  Opt-in (changes the iteration path, not the optimum),
         so it stays off the bit-exact reproduction path.
-    trial_batch:
-        Run all of an experiment's trials in lockstep through the
-        trial-batched tensor engine
-        (:class:`~repro.experiments.batch.BatchedTrialRunner`): the
-        per-trial populations are stacked into ``(trials, users)`` columns
-        and every deterministic per-step phase is fused across the trial
-        axis, while each trial keeps its own derived random streams, AI
-        system and refits — so every trial is bit-identical to its serial
-        :func:`~repro.experiments.runner.run_trial` twin.  Batching
-        amortises the fixed per-step dispatch cost without processes,
-        which is the winning strategy on few cores with many trials;
-        it takes precedence over ``parallel`` (and ignores
-        ``shard_parallel``) when enabled.
     checkpoint_dir:
         Directory holding per-trial snapshots and completed-trial results.
         Required (and only consulted) when ``checkpoint_every`` or
@@ -156,7 +145,7 @@ class CaseStudyConfig:
         ``0`` (default) disables step checkpointing.  Because the random
         streams are stateless per ``(trial, shard, step)``, a trial
         resumed from a snapshot is bit-identical to the uninterrupted
-        run.  Incompatible with ``trial_batch``.
+        run.  Incompatible with ``execution="batch"``.
     resume:
         Pick up an interrupted experiment from ``checkpoint_dir``:
         trials with a completed result on disk are skipped outright, and a
@@ -165,19 +154,19 @@ class CaseStudyConfig:
         different configuration fails with an actionable error instead of
         silently mixing runs.
     execution:
-        One knob in front of the three execution layouts, resolved by the
-        planner (:func:`~repro.core.planner.plan_execution`):
-        ``"serial"``, ``"batch"`` (→ ``trial_batch``), ``"pool"``
-        (→ ``parallel``), ``"shard"`` (→ ``num_shards`` +
-        ``shard_parallel``), or ``"auto"``, which inspects
+        The one layout knob, resolved by the planner
+        (:func:`~repro.core.planner.plan_execution`): ``"serial"``
+        (default, in-process), ``"batch"`` (trials in lockstep through the
+        tensor engine :class:`~repro.experiments.batch.BatchedTrialRunner`),
+        ``"pool"`` (trials on a process pool), ``"shard"`` (each trial's
+        users split over a shard pool), or ``"auto"``, which inspects
         (``cpu_count``, trials, users, steps, checkpoint knobs) and may
-        *compose* layouts (pooled trials × sharded users).  Every layout
-        is bit-identical, so this is purely a performance choice — and it
-        is excluded from checkpoint fingerprints, so a run checkpointed
-        under one plan resumes under another (e.g. ``"auto"`` on a host
-        with a different core count).  Mutually exclusive with the legacy
-        ``parallel``/``trial_batch``/``shard_parallel`` switches;
-        ``None`` (default) keeps the legacy knobs in charge.
+        *compose* layouts (pooled trials × sharded users).  An
+        already-resolved :class:`~repro.core.planner.ExecutionPlan` is
+        accepted too.  Every layout is bit-identical, so this is purely a
+        performance choice — and it is excluded from checkpoint
+        fingerprints, so a run checkpointed under one plan resumes under
+        another (e.g. ``"auto"`` on a host with a different core count).
     """
 
     num_users: int = 1000
@@ -194,19 +183,27 @@ class CaseStudyConfig:
     income_threshold: float = 15.0
     seed: int = 20240101
     history_mode: str = "full"
-    parallel: bool = False
     max_workers: int | None = None
     num_shards: int = 1
-    shard_parallel: bool = False
     retrain_mode: str = "exact"
     warm_start: bool = False
-    trial_batch: bool = False
     checkpoint_dir: str | None = None
     checkpoint_every: int = 0
     resume: bool = False
-    execution: str | None = None
+    execution: str | ExecutionPlan = "serial"
 
     def __post_init__(self) -> None:
+        # Counts must be integers and flags booleans: ``50.5`` users would
+        # only crash mid-run, and a truthy string such as ``"no"`` would
+        # silently switch a flag on.  numpy integers and bools are stored
+        # as ``int``/``bool`` so the fingerprints (which hash reprs) see one
+        # spelling.
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if value is not None or name not in _OPTIONAL_COUNT_FIELDS:
+                object.__setattr__(self, name, require_integer(value, name))
+        for name in _FLAG_FIELDS:
+            object.__setattr__(self, name, require_flag(getattr(self, name), name))
         if self.history_mode not in ("full", "aggregate"):
             raise ValueError(
                 f'history_mode must be "full" or "aggregate", got {self.history_mode!r}'
@@ -225,16 +222,10 @@ class CaseStudyConfig:
             raise ValueError("max_workers must be positive when given")
         require_positive(self.num_shards, "num_shards")
         validate_checkpoint_settings(
-            self.checkpoint_dir,
-            self.checkpoint_every,
-            self.resume,
-            trial_batch=self.trial_batch,
+            self.checkpoint_dir, self.checkpoint_every, self.resume
         )
         validate_execution_settings(
             self.execution,
-            parallel=self.parallel,
-            trial_batch=self.trial_batch,
-            shard_parallel=self.shard_parallel,
             checkpoint_every=self.checkpoint_every,
             resume=self.resume,
         )

@@ -8,8 +8,7 @@ paper's Figures 3-5.
 
 Trials are embarrassingly parallel: trial ``t`` seeds its own generator via
 ``derive_seed(config.seed, "trial", t)``, so no random state is shared and
-running trials concurrently (``parallel=True`` on the config or the
-``run_experiment`` call) yields bit-identical results to the serial loop.
+every execution layout yields bit-identical results to the serial loop.
 
 Each trial records in one of two history modes (``config.history_mode`` or
 the ``history_mode`` override): ``"full"`` retains the ``(steps, users)``
@@ -19,31 +18,28 @@ group-level series the paper's figures need, bounding memory for
 million-user trials.  Group-level results are bit-identical between modes;
 per-user accessors (``user_default_rates``, ``stacked_user_series``) raise
 :class:`~repro.core.history.FullHistoryRequiredError` in aggregate mode.
-The runner uses a process pool (the trial body is pure numpy-crunching
-Python, which threads cannot overlap under the GIL) and falls back to the
-plain serial loop when the inputs cannot be pickled (e.g. a lambda policy
-factory) or the pool breaks at run time — threads would add concurrency
-hazards without adding speed, so serial is the only fallback.
 
-A third execution layout targets the single-core sweep: ``trial_batch``
-(config knob or ``run_experiment`` override) runs every trial in lockstep
-through the trial-batched tensor engine
-(:mod:`repro.experiments.batch`), which stacks the per-trial populations
-into ``(trials, users)`` columns and fuses the deterministic per-step
-math across the trial axis while each trial keeps its own derived random
-streams and refits.  Every batched trial is bit-identical to its serial
-:func:`run_trial` twin; batching takes precedence over ``parallel`` when
-both are enabled (it amortises dispatch without processes, the winning
-strategy on few cores with many trials).
+The layout is chosen by one knob, ``execution`` (config field or runner
+override), which each top-level call resolves into one
+:class:`~repro.core.planner.ExecutionPlan` via
+:func:`~repro.core.planner.plan_execution`; everything below that call —
+trial-pool workers, the in-process fallback, campaign jobs — runs the
+resolved plan instead of planning again.  ``"pool"`` runs trials on a
+supervised process pool (the trial body is pure numpy-crunching Python,
+which threads cannot overlap under the GIL) and falls back to the plain
+serial loop when the inputs cannot be pickled (e.g. a lambda policy
+factory); ``"batch"`` runs every trial in lockstep through the
+trial-batched tensor engine (:mod:`repro.experiments.batch`), which stacks
+the per-trial populations into ``(trials, users)`` columns and fuses the
+deterministic per-step math across the trial axis while each trial keeps
+its own derived random streams and refits; ``"shard"`` splits each
+trial's users over a shard pool (:meth:`repro.core.loop.ClosedLoop.run`).
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -64,10 +60,14 @@ from repro.core.filters import DefaultRateFilter
 from repro.core.history import FullHistoryRequiredError, SimulationHistory
 from repro.core.loop import ClosedLoop
 from repro.core.metrics import group_approval_series, group_average_series
-from repro.core.planner import plan_execution
+from repro.core.planner import (
+    ExecutionPlan,
+    plan_execution,
+    validate_execution_settings,
+)
 from repro.core.streaming import AggregateHistory
 from repro.core.population import CreditPopulation
-from repro.core.supervision import SupervisorPolicy, WorkerPoolFailure, kill_executor
+from repro.core.supervision import SupervisorPolicy, run_supervised_tasks
 from repro.credit.lender import Lender
 from repro.credit.mortgage import MortgageTerms
 from repro.credit.repayment import GaussianRepaymentModel
@@ -403,8 +403,74 @@ def _shard_hint(num_shards: int | None, config: CaseStudyConfig) -> int | None:
     count instead of being pinned to a single worker.
     """
     if num_shards is not None:
+        if num_shards <= 0:
+            raise ValueError("num_shards must be positive")
         return num_shards
     return config.num_shards if config.num_shards != 1 else None
+
+
+def _resolve_history_mode(config: CaseStudyConfig, history_mode: str | None) -> str:
+    """Return the recording mode a run uses, validating an override."""
+    mode = config.history_mode if history_mode is None else history_mode
+    if mode not in ("full", "aggregate"):
+        raise ValueError(f'history_mode must be "full" or "aggregate", got {mode!r}')
+    return mode
+
+
+def _with_overrides(
+    config: CaseStudyConfig, retrain_mode: str | None, warm_start: bool | None
+) -> CaseStudyConfig:
+    """Merge the ``retrain_mode``/``warm_start`` overrides into the config.
+
+    The policy factory reads these off the config, and the fingerprints
+    must describe the effective trajectory, so the overrides land on the
+    config before either runs.
+    """
+    if retrain_mode is None and warm_start is None:
+        return config
+    return replace(
+        config,
+        retrain_mode=config.retrain_mode if retrain_mode is None else retrain_mode,
+        warm_start=config.warm_start if warm_start is None else warm_start,
+    )
+
+
+def _resolve_plan(
+    execution: str | ExecutionPlan | None,
+    config: CaseStudyConfig,
+    *,
+    trials: int,
+    history_mode: str,
+    checkpoint_every: int,
+    resume: bool,
+    max_workers: int | None = None,
+    num_shards: int | None = None,
+) -> ExecutionPlan:
+    """Return the plan a run executes: the one given, or a fresh one.
+
+    A mode name (``None`` defers to ``config.execution``) is resolved by
+    :func:`plan_execution`; an already-resolved :class:`ExecutionPlan` —
+    what the layers below a top-level call receive — is only checked
+    against the checkpoint knobs, and the worker-count hints are ignored.
+    """
+    requested = config.execution if execution is None else execution
+    if isinstance(requested, ExecutionPlan):
+        validate_execution_settings(
+            requested, checkpoint_every=checkpoint_every, resume=resume
+        )
+        return requested
+    return plan_execution(
+        requested,
+        trials=trials,
+        users=config.num_users,
+        steps=config.num_steps,
+        history_mode=history_mode,
+        retrain_mode=config.retrain_mode,
+        checkpoint_every=checkpoint_every,
+        resume=resume,
+        max_workers=max_workers,
+        num_shards=_shard_hint(num_shards, config),
+    )
 
 
 def run_trial(
@@ -415,15 +481,13 @@ def run_trial(
     income_table: IncomeTable | None = None,
     history_mode: str | None = None,
     num_shards: int | None = None,
-    shard_parallel: bool | None = None,
-    shard_transport: str | None = None,
     retrain_mode: str | None = None,
     warm_start: bool | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int | None = None,
     resume: bool | None = None,
     supervisor: SupervisorPolicy | None = None,
-    execution: str | None = None,
+    execution: str | ExecutionPlan | None = None,
 ) -> TrialResult:
     """Run one trial of the case study.
 
@@ -446,16 +510,12 @@ def run_trial(
         streaming group-level series instead of materialising the
         ``(steps, users)`` history; the group series are bit-identical to
         the full-history path.
-    num_shards, shard_parallel:
-        Intra-trial sharded-execution overrides (``None`` defers to the
-        config).  The trajectory is bit-identical for every worker count,
-        serial or pooled: the random schedule depends only on the
-        population's canonical shard partition and the trial seed.
-    shard_transport:
-        Transport of the pooled shard path's per-step payloads —
-        ``"shared"`` (zero-copy shared-memory arena) or ``"pickle"``;
-        ``None`` defers to the loop's default (``"shared"``).  Pure
-        plumbing, bit-identical either way.
+    num_shards:
+        Shard-pool worker-count hint for the planner (``None`` defers to a
+        non-default ``config.num_shards``).  The trajectory is
+        bit-identical for every worker count: the random schedule depends
+        only on the population's canonical shard partition and the trial
+        seed.
     retrain_mode, warm_start:
         Sufficient-statistics retraining overrides (``None`` defers to the
         config); see :class:`~repro.experiments.config.CaseStudyConfig`.
@@ -477,67 +537,39 @@ def run_trial(
         exponential backoff, then degrade to the bit-identical serial
         path.
     execution:
-        Planner knob override (``None`` defers to ``config.execution``):
-        resolves this single trial's layout via
+        Layout override (``None`` defers to ``config.execution``): a mode
+        name resolved for this single trial via
         :func:`~repro.core.planner.plan_execution` with ``trials=1``
         (``"auto"`` picks sharded execution for large populations on
         multi-core hosts, serial otherwise; ``"pool"`` has nothing to
-        pool over one trial and resolves to serial).  Mutually exclusive
-        with the ``shard_parallel`` override; ``num_shards`` is accepted
-        as a worker-count hint.  ``"batch"`` batches trials *across* an
-        experiment and is rejected here — use :func:`run_experiment`.
-        Every plan is bit-identical, and the plan is excluded from the
-        checkpoint fingerprint, so resuming under a different plan (or
-        ``cpu_count``) replays the same trajectory.
+        pool over one trial and resolves to serial), or an
+        already-resolved :class:`~repro.core.planner.ExecutionPlan`, of
+        which the trial runs the shard layout.  A batch layout batches
+        trials *across* an experiment and is rejected here — use
+        :func:`run_experiment`.  Every plan is bit-identical, and the plan
+        is excluded from the checkpoint fingerprint, so resuming under a
+        different plan (or ``cpu_count``) replays the same trajectory.
     """
-    mode = config.history_mode if history_mode is None else history_mode
-    if mode not in ("full", "aggregate"):
-        raise ValueError(f'history_mode must be "full" or "aggregate", got {mode!r}')
-    shards = config.num_shards if num_shards is None else num_shards
-    pooled = config.shard_parallel if shard_parallel is None else bool(shard_parallel)
-    if shards <= 0:
-        raise ValueError("num_shards must be positive")
+    mode = _resolve_history_mode(config, history_mode)
     ckpt_dir = config.checkpoint_dir if checkpoint_dir is None else checkpoint_dir
     every = config.checkpoint_every if checkpoint_every is None else checkpoint_every
     do_resume = config.resume if resume is None else bool(resume)
     validate_checkpoint_settings(ckpt_dir, every, do_resume)
-    exec_mode = config.execution if execution is None else execution
-    if exec_mode is not None:
-        if shard_parallel is not None:
-            raise ValueError(
-                "the execution knob replaces the legacy layout switches: "
-                "drop the shard_parallel override when setting execution"
-            )
-        if exec_mode == "batch":
-            raise ValueError(
-                'execution="batch" runs an experiment\'s trials in lockstep; '
-                "run_trial runs a single trial — use run_experiment, or "
-                "another execution mode"
-            )
-        plan = plan_execution(
-            exec_mode,
-            trials=1,
-            users=config.num_users,
-            steps=config.num_steps,
-            history_mode=mode,
-            retrain_mode=(
-                config.retrain_mode if retrain_mode is None else retrain_mode
-            ),
-            checkpoint_every=every,
-            resume=do_resume,
-            num_shards=_shard_hint(num_shards, config),
-        )
-        shards = plan.num_shards
-        pooled = plan.shard_parallel
-    if retrain_mode is not None or warm_start is not None:
-        # The policy factory reads these off the config, so overrides must
-        # land there before the factory runs.
-        config = replace(
-            config,
-            retrain_mode=(
-                config.retrain_mode if retrain_mode is None else retrain_mode
-            ),
-            warm_start=config.warm_start if warm_start is None else bool(warm_start),
+    config = _with_overrides(config, retrain_mode, warm_start)
+    plan = _resolve_plan(
+        execution,
+        config,
+        trials=1,
+        history_mode=mode,
+        checkpoint_every=every,
+        resume=do_resume,
+        num_shards=num_shards,
+    )
+    if plan.trial_batch:
+        raise ValueError(
+            'execution="batch" runs an experiment\'s trials in lockstep; '
+            "run_trial runs a single trial — use run_experiment, or "
+            "another execution mode"
         )
     factory = policy_factory or default_policy_factory
     trial_seed = derive_seed(config.seed, "trial", trial_index)
@@ -594,12 +626,11 @@ def run_trial(
             history=history,
             history_mode=mode,
             groups=population.groups if mode == "aggregate" else None,
-            num_shards=shards,
-            shard_parallel=pooled,
+            num_shards=plan.num_shards,
+            shard_parallel=plan.shard_parallel,
             retrain_mode=config.retrain_mode,
             checkpoint=spec,
             supervisor=supervisor,
-            shard_transport="shared" if shard_transport is None else shard_transport,
         )
     return _trial_result_from_history(config, history, population)
 
@@ -629,63 +660,49 @@ def _trial_result_from_history(
     )
 
 
-def _run_trial_task(
-    payload: Tuple[
-        CaseStudyConfig,
-        int,
-        PolicyFactory | None,
-        MortgageTerms | None,
-        IncomeTable | None,
-        str | None,
-        int | None,
-        bool | None,
-        str | None,
-        str | None,
-        bool | None,
-        str | None,
-        int | None,
-        bool | None,
-        SupervisorPolicy | None,
-    ]
-) -> TrialResult:
-    """Executor entry point: run one trial from a pickled argument tuple."""
-    (
-        config,
-        trial_index,
-        policy_factory,
-        terms,
-        income_table,
-        history_mode,
-        num_shards,
-        shard_parallel,
-        shard_transport,
-        retrain_mode,
-        warm_start,
-        checkpoint_dir,
-        checkpoint_every,
-        resume,
-        supervisor,
-    ) = payload
+@dataclass(frozen=True)
+class _TrialCall:
+    """One experiment's :func:`run_trial` arguments, bar index and resume.
+
+    The experiment merges its overrides into ``config`` and resolves its
+    ``plan`` once; the serial loop, the trial-pool workers and the
+    pool's in-process fallback all run trials through this one object.
+    A module-level frozen dataclass, so the trial pool pickles it.
+    """
+
+    config: CaseStudyConfig
+    policy_factory: PolicyFactory | None
+    terms: MortgageTerms | None
+    income_table: IncomeTable | None
+    history_mode: str
+    plan: ExecutionPlan
+    checkpoint_dir: str | None
+    checkpoint_every: int
+    supervisor: SupervisorPolicy | None
+
+    def __call__(self, trial_index: int, resume: bool) -> TrialResult:
+        return run_trial(
+            self.config,
+            trial_index=trial_index,
+            policy_factory=self.policy_factory,
+            terms=self.terms,
+            income_table=self.income_table,
+            history_mode=self.history_mode,
+            checkpoint_dir=self.checkpoint_dir,
+            checkpoint_every=self.checkpoint_every,
+            resume=resume,
+            supervisor=self.supervisor,
+            execution=self.plan,
+        )
+
+
+def _run_trial_task(payload: Tuple[_TrialCall, int, bool]) -> TrialResult:
+    """Trial-pool entry point: run one trial from a pickled payload."""
+    call, trial_index, resume = payload
     # Chaos-suite hook: lets a test deterministically kill/hang/fail this
     # trial's worker to exercise the supervised trial pool.
     _fire_fault("trial_worker", trial=trial_index)
-    return run_trial(
-        config,
-        trial_index=trial_index,
-        policy_factory=policy_factory,
-        terms=terms,
-        income_table=income_table,
-        history_mode=history_mode,
-        num_shards=num_shards,
-        shard_parallel=shard_parallel,
-        shard_transport=shard_transport,
-        retrain_mode=retrain_mode,
-        warm_start=warm_start,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        resume=resume,
-        supervisor=supervisor,
-    )
+    return call(trial_index, resume)
 
 
 def _trial_result_path(directory: str, trial_index: int) -> Path:
@@ -775,14 +792,6 @@ def _load_trial_result(
     return pickle.loads(payload["result_bytes"])
 
 
-def _is_picklable(value: object) -> bool:
-    try:
-        pickle.dumps(value)
-        return True
-    except Exception:
-        return False
-
-
 class _OrderedTrialFolder:
     """Fold trial results into the moments in trial order, arrival-agnostic.
 
@@ -815,21 +824,17 @@ def run_experiment(
     policy_factory: PolicyFactory | None = None,
     terms: MortgageTerms | None = None,
     income_table: IncomeTable | None = None,
-    parallel: bool | None = None,
     max_workers: int | None = None,
     history_mode: str | None = None,
     num_shards: int | None = None,
-    shard_parallel: bool | None = None,
-    shard_transport: str | None = None,
     retrain_mode: str | None = None,
     warm_start: bool | None = None,
-    trial_batch: bool | None = None,
     keep_trials: bool = True,
     checkpoint_dir: str | None = None,
     checkpoint_every: int | None = None,
     resume: bool | None = None,
     supervisor: SupervisorPolicy | None = None,
-    execution: str | None = None,
+    execution: str | ExecutionPlan | None = None,
 ) -> ExperimentResult:
     """Run all trials of the case study and return the aggregate result.
 
@@ -838,42 +843,17 @@ def run_experiment(
     config:
         The case-study configuration.
     policy_factory, terms, income_table:
-        Per-trial overrides, as in :func:`run_trial`.
+        Per-trial overrides, as in :func:`run_trial`.  A non-picklable
+        ``policy_factory`` keeps a pooled plan's trials in-process.
+    max_workers, num_shards:
+        Trial-pool and shard-pool worker-count hints for the planner
+        (``None`` defers to the config); see :func:`run_trial`.
     history_mode:
         Recording-mode override for every trial (``None`` defers to
         ``config.history_mode``); see :func:`run_trial`.
-    parallel:
-        Run trials concurrently; ``None`` defers to ``config.parallel``.
-        Results are bit-identical to the serial path because every trial
-        owns an independent derived seed stream.  A non-picklable
-        ``policy_factory`` (or a broken worker pool) falls back to the
-        serial loop.
-    max_workers:
-        Worker cap for the parallel path; ``None`` defers to
-        ``config.max_workers`` (and from there to the CPU count).
-    num_shards, shard_parallel:
-        Intra-trial sharded-execution overrides forwarded to every trial
-        (``None`` defers to the config); bit-identical for every setting.
-        When trial-level parallelism is active, each trial worker applies
-        its shard settings inside its own process (nested shard pools fall
-        back to the serial shard path on platforms that forbid them —
-        still bit-identical).
-    shard_transport:
-        Shared-memory vs pickling transport of the pooled shard path,
-        forwarded to every trial (``None`` defers to the loop default,
-        ``"shared"``); see :func:`run_trial`.  Bit-identical either way.
     retrain_mode, warm_start:
         Sufficient-statistics retraining overrides forwarded to every
         trial (``None`` defers to the config); see :func:`run_trial`.
-    trial_batch:
-        Run every trial in lockstep through the trial-batched tensor
-        engine (``None`` defers to ``config.trial_batch``); see
-        :class:`~repro.experiments.batch.BatchedTrialRunner`.  Every trial
-        is bit-identical to its serial twin.  Batching amortises per-step
-        dispatch across trials in one process, so it takes precedence
-        over ``parallel`` trial pooling, and the intra-trial
-        ``num_shards``/``shard_parallel`` knobs are ignored (the batched
-        engine always walks the canonical shard streams in-process).
     keep_trials:
         Retain the per-trial results on the returned
         :class:`ExperimentResult` (default).  ``False`` drops each trial
@@ -897,98 +877,55 @@ def run_experiment(
         the retry budget degrades to the bit-identical serial path with a
         :class:`RuntimeWarning` instead of crashing the experiment.
     execution:
-        Planner knob override (``None`` defers to ``config.execution``):
-        one request — ``"auto"``, ``"serial"``, ``"batch"``, ``"pool"``
-        or ``"shard"`` — resolved into the concrete layout switches by
+        Layout override (``None`` defers to ``config.execution``): one
+        mode — ``"auto"``, ``"serial"``, ``"batch"``, ``"pool"`` or
+        ``"shard"`` — resolved into an
+        :class:`~repro.core.planner.ExecutionPlan` by
         :func:`~repro.core.planner.plan_execution` from (``cpu_count``,
-        trials, users, steps, history/retrain modes, checkpoint knobs).
-        ``"auto"`` may compose layouts (pooled trials × sharded users on
-        hosts with spare cores).  Mutually exclusive with the legacy
-        ``parallel``/``trial_batch``/``shard_parallel`` overrides;
-        ``max_workers`` and ``num_shards`` are accepted as planner
-        hints.  Every plan is bit-identical to serial, so this knob can
-        never change a result — only its wall clock.
+        trials, users, steps, history/retrain modes, checkpoint knobs), or
+        an already-resolved plan.  ``"auto"`` may compose layouts (pooled
+        trials × sharded users on hosts with spare cores).  Every plan is
+        bit-identical to serial, so this knob can never change a result —
+        only its wall clock.
     """
-    workers = config.max_workers if max_workers is None else max_workers
-    if workers is not None and workers <= 0:
-        raise ValueError("max_workers must be positive when given")
+    mode = _resolve_history_mode(config, history_mode)
     ckpt_dir = config.checkpoint_dir if checkpoint_dir is None else checkpoint_dir
     every = config.checkpoint_every if checkpoint_every is None else checkpoint_every
     do_resume = config.resume if resume is None else bool(resume)
-    resolved_mode = config.history_mode if history_mode is None else history_mode
-    exec_mode = config.execution if execution is None else execution
-    if exec_mode is not None:
-        for name, value in (
-            ("parallel", parallel),
-            ("trial_batch", trial_batch),
-            ("shard_parallel", shard_parallel),
-        ):
-            if value is not None:
-                raise ValueError(
-                    "the execution knob replaces the legacy layout switches: "
-                    f"drop the {name} override when setting execution "
-                    f"(got execution={exec_mode!r})"
-                )
-        plan = plan_execution(
-            exec_mode,
-            trials=config.num_trials,
-            users=config.num_users,
-            steps=config.num_steps,
-            history_mode=resolved_mode,
-            retrain_mode=(
-                config.retrain_mode if retrain_mode is None else retrain_mode
-            ),
-            checkpoint_every=every,
-            resume=do_resume,
-            max_workers=workers,
-            num_shards=_shard_hint(num_shards, config),
-        )
-        # The plan is fully resolved here; strip the knob off the config so
-        # the trial workers (and the batched engine) execute the concrete
-        # switches below instead of re-planning on their own host view.
-        config = replace(config, execution=None)
-        use_parallel = plan.parallel
-        use_batch = plan.trial_batch
-        if plan.parallel:
-            workers = plan.max_workers
-        num_shards = plan.num_shards
-        shard_parallel = plan.shard_parallel
-    else:
-        use_parallel = config.parallel if parallel is None else bool(parallel)
-        use_batch = config.trial_batch if trial_batch is None else bool(trial_batch)
-    validate_checkpoint_settings(ckpt_dir, every, do_resume, trial_batch=use_batch)
-    worker_count = min(config.num_trials, workers or os.cpu_count() or 1)
+    validate_checkpoint_settings(ckpt_dir, every, do_resume)
+    effective = _with_overrides(config, retrain_mode, warm_start)
+    plan = _resolve_plan(
+        execution,
+        effective,
+        trials=config.num_trials,
+        history_mode=mode,
+        checkpoint_every=every,
+        resume=do_resume,
+        max_workers=config.max_workers if max_workers is None else max_workers,
+        num_shards=num_shards,
+    )
     moments = GroupSeriesMoments()
-    if use_batch:
+    if plan.trial_batch:
         trials = _run_trials_batched(
-            config,
-            policy_factory,
-            terms,
-            income_table,
-            history_mode,
-            retrain_mode,
-            warm_start,
-            moments,
-            keep_trials,
+            effective, policy_factory, terms, income_table, mode, moments, keep_trials
         )
         return ExperimentResult(
             config=config,
             trials=tuple(trials),
             group_moments=moments,
-            resolved_history_mode=resolved_mode,
+            resolved_history_mode=mode,
         )
-    # The fingerprint must describe the *effective* trajectory parameters,
-    # so the retrain_mode/warm_start overrides merge in exactly as
-    # run_trial will merge them.
-    effective = config
-    if retrain_mode is not None or warm_start is not None:
-        effective = replace(
-            config,
-            retrain_mode=(
-                config.retrain_mode if retrain_mode is None else retrain_mode
-            ),
-            warm_start=config.warm_start if warm_start is None else bool(warm_start),
-        )
+    call = _TrialCall(
+        config=effective,
+        policy_factory=policy_factory,
+        terms=terms,
+        income_table=income_table,
+        history_mode=mode,
+        plan=plan,
+        checkpoint_dir=ckpt_dir,
+        checkpoint_every=every,
+        supervisor=supervisor,
+    )
     folder = _OrderedTrialFolder(moments, keep_trials)
     pending: List[int] = []
     for trial_index in range(config.num_trials):
@@ -999,74 +936,37 @@ def run_experiment(
             loaded = _load_trial_result(
                 ckpt_dir,
                 trial_index,
-                _trial_fingerprint(effective, trial_index, resolved_mode),
+                _trial_fingerprint(effective, trial_index, mode),
                 need_full=keep_trials,
             )
         if loaded is not None:
             folder.add(trial_index, loaded)
         else:
             pending.append(trial_index)
-    if use_parallel and len(pending) > 1 and worker_count > 1:
-        pooled = _try_run_trials_in_processes(
-            config,
-            policy_factory,
-            terms,
-            income_table,
-            min(len(pending), worker_count),
-            history_mode,
-            num_shards,
-            shard_parallel,
-            shard_transport,
-            retrain_mode,
-            warm_start,
-            pending=pending,
-            supervisor=supervisor,
-            checkpoint_dir=ckpt_dir,
-            checkpoint_every=every,
-            resume=do_resume,
-        )
-        if pooled is not None:
-            for trial_index, trial in pooled.items():
-                if ckpt_dir is not None:
-                    _write_trial_result(
-                        ckpt_dir,
-                        trial_index,
-                        _trial_fingerprint(effective, trial_index, resolved_mode),
-                        trial,
-                    )
-                folder.add(trial_index, trial)
-            pending = [index for index in pending if index not in pooled]
-    for trial_index in pending:
-        trial = run_trial(
-            config,
-            trial_index=trial_index,
-            policy_factory=policy_factory,
-            terms=terms,
-            income_table=income_table,
-            history_mode=history_mode,
-            num_shards=num_shards,
-            shard_parallel=shard_parallel,
-            shard_transport=shard_transport,
-            retrain_mode=retrain_mode,
-            warm_start=warm_start,
-            checkpoint_dir=ckpt_dir,
-            checkpoint_every=every,
-            resume=do_resume,
-            supervisor=supervisor,
-        )
+
+    def finish(trial_index: int, trial: TrialResult) -> None:
         if ckpt_dir is not None:
             _write_trial_result(
                 ckpt_dir,
                 trial_index,
-                _trial_fingerprint(effective, trial_index, resolved_mode),
+                _trial_fingerprint(effective, trial_index, mode),
                 trial,
             )
         folder.add(trial_index, trial)
+
+    if plan.parallel and min(len(pending), plan.max_workers) > 1:
+        pooled = _run_trials_pooled(call, pending, plan.max_workers, do_resume)
+        if pooled is not None:
+            for trial_index, trial in pooled.items():
+                finish(trial_index, trial)
+            pending = []
+    for trial_index in pending:
+        finish(trial_index, call(trial_index, do_resume))
     return ExperimentResult(
         config=config,
         trials=tuple(folder.trials),
         group_moments=moments,
-        resolved_history_mode=resolved_mode,
+        resolved_history_mode=mode,
     )
 
 
@@ -1075,37 +975,23 @@ def _run_trials_batched(
     policy_factory: PolicyFactory | None,
     terms: MortgageTerms | None,
     income_table: IncomeTable | None,
-    history_mode: str | None,
-    retrain_mode: str | None,
-    warm_start: bool | None,
+    history_mode: str,
     moments: GroupSeriesMoments,
     keep_trials: bool,
 ) -> List[TrialResult]:
     """Run every trial through the trial-batched engine.
 
-    Mirrors :func:`run_trial`'s override handling (mode validation, the
-    ``retrain_mode``/``warm_start`` merge into the config the policy
-    factory reads) and its result assembly, so a batched trial is the
-    serial trial, bit for bit, minus the per-trial dispatch overhead.
+    ``config`` already carries the merged overrides, exactly as
+    :func:`run_trial` sees it, and the results are assembled by the same
+    call — so a batched trial is the serial trial, bit for bit, minus the
+    per-trial dispatch overhead.
     """
-    mode = config.history_mode if history_mode is None else history_mode
-    if mode not in ("full", "aggregate"):
-        raise ValueError(f'history_mode must be "full" or "aggregate", got {mode!r}')
-    if retrain_mode is not None or warm_start is not None:
-        config = replace(
-            config,
-            retrain_mode=(
-                config.retrain_mode if retrain_mode is None else retrain_mode
-            ),
-            warm_start=config.warm_start if warm_start is None else bool(warm_start),
-        )
-    factory = policy_factory or default_policy_factory
     outcomes = run_trials_batched(
         config,
-        factory,
+        policy_factory or default_policy_factory,
         terms=terms,
         income_table=income_table,
-        history_mode=mode,
+        history_mode=history_mode,
     )
     trials: List[TrialResult] = []
     for history, population in outcomes:
@@ -1116,176 +1002,25 @@ def _run_trials_batched(
     return trials
 
 
-def _try_run_trials_in_processes(
-    config: CaseStudyConfig,
-    policy_factory: PolicyFactory | None,
-    terms: MortgageTerms | None,
-    income_table: IncomeTable | None,
-    workers: int,
-    history_mode: str | None = None,
-    num_shards: int | None = None,
-    shard_parallel: bool | None = None,
-    shard_transport: str | None = None,
-    retrain_mode: str | None = None,
-    warm_start: bool | None = None,
-    pending: Sequence[int] | None = None,
-    supervisor: SupervisorPolicy | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int = 0,
-    resume: bool = False,
+def _run_trials_pooled(
+    call: _TrialCall, pending: Sequence[int], workers: int, resume: bool
 ) -> Dict[int, TrialResult] | None:
-    """Run trials on a supervised process pool; ``None`` for serial fallback.
+    """Run trials on the supervised trial pool; ``None`` for serial fallback.
 
-    The trial body holds the GIL, so processes are the only executor worth
-    having.  Inputs failing the cheap pickle probe return ``None`` before
-    anything runs and the caller takes the plain serial loop —
-    bit-identical either way.
-
-    Once trials are in flight the pool is *supervised* instead of
-    abandoned: a worker death (``BrokenProcessPool`` — previously this
-    discarded every completed trial and silently re-ran the whole
-    experiment serially) now tears the broken pool down, keeps every
-    completed result, and re-runs only the lost trials on a fresh pool
-    after an exponential backoff; a raise inside one trial retries just
-    that trial; and with ``supervisor.timeout`` set, a window in which *no*
-    trial completes is treated as a hung pool.  When step checkpointing is
-    on, a retried trial resumes from the dead worker's last snapshot
-    instead of from scratch.  A trial that exhausts
-    ``supervisor.max_retries`` degrades to an in-process serial run with
-    PR 3's ``RuntimeWarning`` shape — so the experiment completes (or
-    surfaces the trial's own deterministic error) rather than crashing on
-    infrastructure failure.
+    See :func:`~repro.core.supervision.run_supervised_tasks` for the
+    supervision contract.  When step checkpointing is on, a retried trial
+    resumes from the dead worker's last snapshot instead of from scratch,
+    and so does a trial that exhausts its retries and runs in-process.
     """
-    indices = list(range(config.num_trials)) if pending is None else list(pending)
-    if not indices:
-        return {}
-    policy = supervisor or SupervisorPolicy()
-    resumable_retries = checkpoint_dir is not None and checkpoint_every > 0
-
-    def payload_for(trial_index: int) -> tuple:
-        # A retried trial may resume from the dead worker's checkpoint;
-        # the first attempt honors the caller's resume flag.
-        attempt_resume = resume or (
-            resumable_retries and attempts[trial_index] > 0
-        )
-        return (
-            config,
-            trial_index,
-            policy_factory,
-            terms,
-            income_table,
-            history_mode,
-            num_shards,
-            shard_parallel,
-            shard_transport,
-            retrain_mode,
-            warm_start,
-            checkpoint_dir,
-            checkpoint_every,
-            attempt_resume,
-            supervisor,
-        )
-
-    attempts: Dict[int, int] = {index: 0 for index in indices}
-    if not _is_picklable(payload_for(indices[0])):
-        return None
-    results: Dict[int, TrialResult] = {}
-    waiting = list(indices)
-    executor: ProcessPoolExecutor | None = None
-    pool_failures = 0
-    try:
-        while waiting:
-            # Trials past the retry budget degrade to the in-process
-            # serial path (their own deterministic errors then surface
-            # naturally instead of being retried forever).
-            for trial_index in [i for i in waiting if attempts[i] > policy.max_retries]:
-                warnings.warn(
-                    "parallel trials fell back to the serial path: trial "
-                    f"{trial_index} exhausted its retry budget "
-                    f"({policy.max_retries} retries)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                results[trial_index] = run_trial(
-                    config,
-                    trial_index=trial_index,
-                    policy_factory=policy_factory,
-                    terms=terms,
-                    income_table=income_table,
-                    history_mode=history_mode,
-                    num_shards=num_shards,
-                    shard_parallel=shard_parallel,
-                    shard_transport=shard_transport,
-                    retrain_mode=retrain_mode,
-                    warm_start=warm_start,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    resume=resume or resumable_retries,
-                    supervisor=supervisor,
-                )
-            waiting = [i for i in waiting if i not in results]
-            if not waiting:
-                break
-            failure: WorkerPoolFailure | None = None
-            try:
-                if executor is None:
-                    executor = ProcessPoolExecutor(
-                        max_workers=min(workers, len(waiting))
-                    )
-                future_map = {
-                    executor.submit(_run_trial_task, payload_for(index)): index
-                    for index in waiting
-                }
-            except (pickle.PicklingError, BrokenProcessPool) as error:
-                failure = WorkerPoolFailure("submitting trials failed", error)
-                future_map = {}
-            outstanding = set(future_map)
-            while outstanding and failure is None:
-                done, _ = wait(
-                    outstanding, timeout=policy.timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    failure = WorkerPoolFailure(
-                        "no trial completed within the supervision timeout", None
-                    )
-                    break
-                for future in done:
-                    trial_index = future_map[future]
-                    outstanding.discard(future)
-                    try:
-                        results[trial_index] = future.result()
-                    except BrokenProcessPool as error:
-                        failure = WorkerPoolFailure(
-                            "a trial worker process died", error
-                        )
-                        break
-                    except Exception as error:
-                        # The trial itself raised: retry just this one.
-                        attempts[trial_index] += 1
-            waiting = [i for i in waiting if i not in results]
-            if failure is not None and waiting:
-                pool_failures += 1
-                for trial_index in waiting:
-                    attempts[trial_index] += 1
-                kill_executor(executor)
-                executor = None
-                cause = failure.cause if failure.cause is not None else failure
-                warnings.warn(
-                    f"parallel trial pool failure ({failure.reason}: {cause!r}); "
-                    f"rebuilding the pool and re-running {len(waiting)} lost "
-                    f"trial(s) (pool failure {pool_failures})",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                policy.sleep_before_retry(pool_failures)
-        if executor is not None:
-            # Clean exit: every worker is idle, so waiting is instant and
-            # lets the pool's management thread close its wakeup pipe
-            # before the interpreter's atexit hook races it.
-            executor.shutdown(wait=True, cancel_futures=True)
-            executor = None
-    finally:
-        if executor is not None:
-            # Exceptional exit: workers may be hung, so don't wait on them.
-            executor.shutdown(wait=False, cancel_futures=True)
-    return results
+    resumable = call.checkpoint_dir is not None and call.checkpoint_every > 0
+    return run_supervised_tasks(
+        _run_trial_task,
+        pending,
+        lambda index, attempts: (call, index, resume or (resumable and attempts > 0)),
+        lambda index: call(index, resume or resumable),
+        workers=workers,
+        supervisor=call.supervisor,
+        pool_name="parallel trial pool",
+        noun="trial",
+        describe=lambda index: f"trial {index}",
+    )

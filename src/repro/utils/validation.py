@@ -18,12 +18,23 @@ __all__ = [
     "require_probability",
     "require_probability_vector",
     "require_in_range",
+    "require_integer",
+    "require_flag",
+    "require_real",
 ]
+
+
+def _is_finite(value: float) -> bool:
+    """Return ``math.isfinite(value)``, counting ints beyond float range as not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def require_positive(value: float, name: str) -> float:
     """Return ``value`` if it is finite and strictly positive, else raise."""
-    if not math.isfinite(value) or value <= 0:
+    if not _is_finite(value) or value <= 0:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
     return float(value)
 
@@ -78,4 +89,40 @@ def require_in_range(
         raise ValueError(
             f"{name} must lie in {bracket[0]}{low}, {high}{bracket[1]}, got {value!r}"
         )
+    return float(value)
+
+
+def require_integer(value: object, name: str) -> int:
+    """Return ``value`` as an ``int`` if it is an integer, else raise.
+
+    Python and numpy integers qualify; ``bool`` (an ``int`` subclass) and
+    integral floats such as ``2.0`` do not — a count that arrives as either
+    is a typo, not a count.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, np.integer)
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_flag(value: object, name: str) -> bool:
+    """Return ``value`` if it is a ``bool`` (or numpy bool), else raise.
+
+    Strings such as ``"no"`` are truthy, so accepting them would silently
+    switch a flag on.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
+
+
+def require_real(value: object, name: str) -> float:
+    """Return ``value`` as a ``float`` if it is a finite real number, else raise."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not _is_finite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)

@@ -118,7 +118,7 @@ class TestLayoutInvariance:
             dict(execution="pool", max_workers=2),
             dict(execution="shard", num_shards=2),
             dict(execution="batch"),
-            dict(execution="auto", shard_transport="pickle"),
+            dict(execution="auto", num_shards=2),
         ):
             warm = run_campaign(_spec(**options), tmp_path, cpu_count=2)
             assert warm.hit_rate == 1.0, options

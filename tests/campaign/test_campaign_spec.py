@@ -75,8 +75,50 @@ class TestSpecValidation:
             CampaignSpec(retrain_modes=("fast",))
         with pytest.raises(ValueError, match="execution"):
             CampaignSpec(execution="gpu")
-        with pytest.raises(ValueError, match="shard_transport"):
+        with pytest.raises(TypeError, match="shard_transport"):
             CampaignSpec(shard_transport="rpc")
+
+    @pytest.mark.parametrize(
+        "key,kwargs",
+        [
+            ("population_sizes", dict(population_sizes=(1.5,))),
+            ("population_sizes", dict(population_sizes=(True,))),
+            ("seeds", dict(seeds=(1.5,))),
+            ("num_trials", dict(num_trials=2.0)),
+            ("start_year", dict(start_year="2002")),
+            ("num_shards", dict(num_shards=2.5)),
+            ("max_workers", dict(max_workers=1.0)),
+            ("warm_start", dict(warm_start="no")),
+            ("name", dict(name=3)),
+        ],
+    )
+    def test_mistyped_values_are_rejected_naming_the_key(self, key, kwargs):
+        with pytest.raises(ValueError, match=key):
+            CampaignSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "axis,arm,key,value",
+        [
+            ("scenarios", "recession", "downshift", "x"),
+            ("scenarios", "recession", "shock_years", 2008),
+            ("scenarios", "widening-gap", "disadvantaged", 1),
+            ("policies", "epsilon-greedy", "epsilon", float("nan")),
+            ("policies", "epsilon-greedy", "exploration_seed", 0.5),
+            ("policies", "static", "training_rounds", True),
+        ],
+    )
+    def test_mistyped_arm_parameters_are_rejected(self, axis, arm, key, value):
+        with pytest.raises(ValueError, match=key):
+            CampaignSpec(**{axis: ({"name": arm, key: value},)})
+
+    def test_typed_values_are_kept_as_given(self):
+        spec = CampaignSpec(
+            scenarios=({"name": "recession", "downshift": 1, "shock_years": [2008]},),
+            policies=({"name": "income-multiple", "max_default_rate": None},),
+            num_shards=2,
+        )
+        assert spec.scenarios[0].params == (("downshift", 1), ("shock_years", (2008,)))
+        assert spec.policies[0].params == (("max_default_rate", None),)
 
     def test_grid_size_is_the_axis_product(self):
         spec = CampaignSpec(
@@ -124,8 +166,7 @@ class TestExpansion:
         assert job.config.retrain_mode == "compressed"
         assert job.config.warm_start is True
         # Run options never leak into the job's config: the planner decides.
-        assert job.config.execution is None
-        assert job.config.parallel is False
+        assert job.config.execution == "serial"
 
     def test_jobs_and_factories_are_picklable(self):
         spec = CampaignSpec(policies=("parity", "epsilon-greedy"))
@@ -173,7 +214,7 @@ class TestLoading:
 
                 [run]
                 execution = "serial"
-                shard_transport = "pickle"
+                num_shards = 2
                 """
             )
         )
@@ -181,7 +222,7 @@ class TestLoading:
         assert spec.name == "demo"
         assert spec.grid_size == 4
         assert spec.execution == "serial"
-        assert spec.shard_transport == "pickle"
+        assert spec.num_shards == 2
         assert spec.scenarios[1].params == (("downshift", 0.25),)
 
     def test_json_round_trip(self, tmp_path):
@@ -204,6 +245,12 @@ class TestLoading:
         assert spec.name == "demo-json"
         assert spec.policies == (ArmRef("static"),)
         assert spec.execution == "serial"
+
+    def test_retired_shard_transport_is_an_unknown_run_key(self, tmp_path):
+        path = tmp_path / "grid.toml"
+        path.write_text('[run]\nshard_transport = "pickle"\n')
+        with pytest.raises(ValueError, match=r"unknown \[run\] key\(s\)"):
+            load_campaign_spec(path)
 
     def test_unknown_keys_are_actionable(self, tmp_path):
         path = tmp_path / "grid.toml"

@@ -147,9 +147,15 @@ class TestPlanSurface:
                 cpu_count=4,
             )
 
-    def test_validate_settings_accepts_none_with_legacy_switches(self):
-        # None means "legacy knobs in charge" — they may be set freely.
-        validate_execution_settings(None, parallel=True, trial_batch=True)
+    def test_validate_settings_accepts_resolved_plans(self):
+        # Layers below a top-level call receive a resolved plan instead of
+        # a mode name; it is checked against the checkpoint knobs the same
+        # way, and None (the retired "legacy switches" marker) is gone.
+        validate_execution_settings(_plan("pool"), checkpoint_every=5)
+        with pytest.raises(ValueError, match="incompatible with checkpointing"):
+            validate_execution_settings(_plan("batch"), resume=True)
+        with pytest.raises(ValueError, match="execution must be one of"):
+            validate_execution_settings(None)
 
     def test_bad_inputs_are_rejected(self):
         with pytest.raises(ValueError, match="users"):

@@ -50,13 +50,13 @@ class TestBatchedEngineGoldens:
     """The batched engine reproduces the pinned golden stream exactly."""
 
     def test_batched_experiment_matches_engine_goldens(self, small_config):
-        result = run_experiment(small_config, trial_batch=True)
+        result = run_experiment(small_config, execution="batch")
         assert experiment_digests(result) == ENGINE_GOLDEN
 
     def test_batched_incremental_metrics_match_recompute(self, small_config):
         # The precomputed-statistics ingest rows must satisfy the history's
         # own cross-check recomputations bit for bit.
-        result = run_experiment(small_config, trial_batch=True)
+        result = run_experiment(small_config, execution="batch")
         for trial in result.trials:
             history = trial.history
             assert np.array_equal(
@@ -79,7 +79,7 @@ class TestBatchedMatchesSerialAcrossModes:
     def test_full_mode(self, paper_config, retrain_mode):
         serial = run_experiment(paper_config, retrain_mode=retrain_mode)
         batched = run_experiment(
-            paper_config, retrain_mode=retrain_mode, trial_batch=True
+            paper_config, retrain_mode=retrain_mode, execution="batch"
         )
         assert len(serial.trials) == len(batched.trials) == paper_config.num_trials
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
@@ -95,7 +95,7 @@ class TestBatchedMatchesSerialAcrossModes:
             paper_config,
             history_mode="aggregate",
             retrain_mode=retrain_mode,
-            trial_batch=True,
+            execution="batch",
         )
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
             _assert_group_series_identical(serial_trial, batched_trial)
@@ -119,7 +119,7 @@ class TestBatchedMatchesSerialAcrossModes:
             small_config, retrain_mode="compressed", warm_start=True
         )
         batched = run_experiment(
-            small_config, retrain_mode="compressed", warm_start=True, trial_batch=True
+            small_config, retrain_mode="compressed", warm_start=True, execution="batch"
         )
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
             _assert_full_trials_identical(serial_trial, batched_trial)
@@ -143,13 +143,13 @@ class TestBatchedRunnerSurface:
 
         serial = run_experiment(small_config, policy_factory=factory)
         batched = run_experiment(
-            small_config, policy_factory=factory, trial_batch=True
+            small_config, policy_factory=factory, execution="batch"
         )
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
             _assert_full_trials_identical(serial_trial, batched_trial)
         # The subclassed lender behaves like the default one, so the run
         # must also equal the fast-path batched result.
-        fast = run_experiment(small_config, trial_batch=True)
+        fast = run_experiment(small_config, execution="batch")
         for fast_trial, batched_trial in zip(fast.trials, batched.trials):
             _assert_full_trials_identical(fast_trial, batched_trial)
 
@@ -157,7 +157,7 @@ class TestBatchedRunnerSurface:
         config = CaseStudyConfig(
             num_users=small_config.num_users,
             num_trials=small_config.num_trials,
-            trial_batch=True,
+            execution="batch",
         )
         batched = run_experiment(config)
         serial = run_experiment(small_config)
@@ -166,10 +166,8 @@ class TestBatchedRunnerSurface:
                 serial_trial.user_default_rates, batched_trial.user_default_rates
             )
 
-    def test_trial_batch_takes_precedence_over_parallel(self, small_config):
-        result = run_experiment(
-            small_config, trial_batch=True, parallel=True, max_workers=2
-        )
+    def test_batch_mode_ignores_the_pool_worker_hint(self, small_config):
+        result = run_experiment(small_config, execution="batch", max_workers=2)
         serial = run_experiment(small_config)
         for serial_trial, batched_trial in zip(serial.trials, result.trials):
             assert np.array_equal(
@@ -178,15 +176,15 @@ class TestBatchedRunnerSurface:
 
     def test_single_trial_batch(self):
         config = CaseStudyConfig(num_users=100, num_trials=1)
-        batched = run_experiment(config, trial_batch=True)
+        batched = run_experiment(config, execution="batch")
         reference = run_trial(config, trial_index=0)
         assert np.array_equal(
             batched.trials[0].user_default_rates, reference.user_default_rates
         )
 
     def test_keep_trials_false_accumulates_moments(self, small_config):
-        kept = run_experiment(small_config, trial_batch=True)
-        dropped = run_experiment(small_config, trial_batch=True, keep_trials=False)
+        kept = run_experiment(small_config, execution="batch")
+        dropped = run_experiment(small_config, execution="batch", keep_trials=False)
         assert dropped.trials == ()
         for race in Race:
             # Welford vs batch mean: equal up to float reassociation.
@@ -203,7 +201,7 @@ class TestBatchedRunnerSurface:
 
     def test_invalid_history_mode_is_rejected(self, small_config):
         with pytest.raises(ValueError):
-            run_experiment(small_config, trial_batch=True, history_mode="bogus")
+            run_experiment(small_config, execution="batch", history_mode="bogus")
 
     def test_non_binary_decisions_are_rejected_loudly(self):
         # The serial filter truncates fractional decisions before counting
@@ -221,5 +219,5 @@ class TestBatchedRunnerSurface:
             run_experiment(
                 config,
                 policy_factory=lambda cfg, population: FractionalSystem(),
-                trial_batch=True,
+                execution="batch",
             )

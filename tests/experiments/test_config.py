@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.data.census import Race
@@ -67,3 +68,45 @@ class TestValidationAndScaling:
         config = CaseStudyConfig()
         with pytest.raises(AttributeError):
             config.num_users = 5  # type: ignore[misc]
+
+
+class TestMistypedValuesAreRejected:
+    """Counts are integers and flags booleans, checked at construction."""
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("num_users", 50.5),
+            ("num_users", True),
+            ("num_trials", 2.0),
+            ("start_year", "2002"),
+            ("seed", 1.5),
+            ("warm_up_rounds", None),
+            ("max_workers", 2.5),
+            ("num_shards", 2.0),
+            ("checkpoint_every", 1.0),
+        ],
+    )
+    def test_non_integer_counts(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            CaseStudyConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", ["warm_start", "resume"])
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_non_boolean_flags(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            CaseStudyConfig(**{key: value})
+
+    def test_numpy_scalars_are_accepted_as_plain_values(self):
+        config = CaseStudyConfig(
+            num_users=np.int64(40), seed=np.int32(3), warm_start=np.bool_(True)
+        )
+        assert type(config.num_users) is int and config.num_users == 40
+        assert type(config.seed) is int and config.seed == 3
+        assert config.warm_start is True
+
+    def test_runner_override_is_validated_too(self):
+        from repro.experiments.runner import run_trial
+
+        with pytest.raises(ValueError, match="warm_start"):
+            run_trial(CaseStudyConfig(num_users=20, num_trials=1), warm_start="no")

@@ -18,17 +18,22 @@ This suite is the consolidated harness behind that claim:
 * the config knob, the ``run_experiment`` override and ``run_trial``
   route through the same planner;
 * forbidden combinations fail at configuration time with actionable
-  errors, not at step 900 of a trial.
+  errors, not at step 900 of a trial;
+* ``execution`` is the only layout knob: no entry point keeps a legacy
+  layout switch beside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import inspect
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from repro.campaign.spec import CampaignSpec
 from repro.core import planner
+from repro.core.loop import ClosedLoop
 from repro.core.streaming import AggregateHistory
 from repro.experiments.config import CaseStudyConfig
 from repro.experiments.runner import run_experiment, run_trial
@@ -137,7 +142,7 @@ class TestForbiddenCombosFailAtConfigTime:
         "legacy", [{"trial_batch": True}, {"parallel": True}, {"shard_parallel": True}]
     )
     def test_legacy_switches_are_rejected_with_execution(self, legacy):
-        with pytest.raises(ValueError, match="legacy layout switches"):
+        with pytest.raises(TypeError, match=next(iter(legacy))):
             CaseStudyConfig(execution="auto", **legacy)
 
     def test_batch_mode_rejects_checkpointing(self, tmp_path):
@@ -149,10 +154,23 @@ class TestForbiddenCombosFailAtConfigTime:
             )
 
     def test_runner_override_rejects_legacy_overrides(self, golden_config):
-        with pytest.raises(ValueError, match="parallel override"):
+        with pytest.raises(TypeError, match="parallel"):
             run_experiment(golden_config, execution="auto", parallel=True)
-        with pytest.raises(ValueError, match="trial_batch override"):
+        with pytest.raises(TypeError, match="trial_batch"):
             run_experiment(golden_config, execution="serial", trial_batch=True)
+
+    def test_no_entry_point_keeps_a_legacy_layout_parameter(self):
+        legacy = {"parallel", "trial_batch", "shard_parallel", "shard_transport"}
+        for entry in (run_trial, run_experiment, planner.validate_execution_settings):
+            assert not legacy & set(inspect.signature(entry).parameters), entry
+        for record in (CaseStudyConfig, CampaignSpec):
+            assert not legacy & {field.name for field in fields(record)}, record
+        # The engine-level loop keeps its concrete shard switches (a plan's
+        # fields), but the transport is no longer selectable.
+        assert "shard_transport" not in inspect.signature(ClosedLoop.run).parameters
+
+    def test_serial_is_the_default_layout(self):
+        assert CaseStudyConfig().execution == "serial"
 
     def test_run_trial_rejects_batch_mode(self, golden_config):
         with pytest.raises(ValueError, match="run_experiment"):

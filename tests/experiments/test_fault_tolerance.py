@@ -289,7 +289,7 @@ class TestSupervisedShardPool:
             ft_config,
             trial_index=0,
             num_shards=2,
-            shard_parallel=True,
+            execution="shard",
             supervisor=FAST_SUPERVISOR,
             **kwargs,
         )
@@ -422,7 +422,7 @@ class TestSupervisedTrialPool:
         with pytest.warns(RuntimeWarning, match="parallel trial pool failure"):
             recovered = run_experiment(
                 ft_config,
-                parallel=True,
+                execution="pool",
                 max_workers=2,
                 supervisor=FAST_SUPERVISOR,
             )
@@ -439,7 +439,7 @@ class TestSupervisedTrialPool:
         )
         recovered = run_experiment(
             ft_config,
-            parallel=True,
+            execution="pool",
             max_workers=2,
             supervisor=FAST_SUPERVISOR,
         )
@@ -460,7 +460,7 @@ class TestSupervisedTrialPool:
         with pytest.warns(RuntimeWarning, match="exhausted its retry budget"):
             recovered = run_experiment(
                 ft_config,
-                parallel=True,
+                execution="pool",
                 max_workers=2,
                 supervisor=SupervisorPolicy(max_retries=0, backoff_base=0.0),
             )
@@ -484,7 +484,7 @@ class TestSupervisedTrialPool:
         with pytest.warns(RuntimeWarning, match="parallel trial pool failure"):
             first = run_experiment(
                 ft_config,
-                parallel=True,
+                execution="pool",
                 max_workers=2,
                 supervisor=FAST_SUPERVISOR,
                 checkpoint_dir=str(snapshots),
@@ -513,7 +513,7 @@ class TestSharedMemoryHygiene:
             ft_config,
             trial_index=0,
             num_shards=2,
-            shard_parallel=True,
+            execution="shard",
             supervisor=FAST_SUPERVISOR,
             **kwargs,
         )
@@ -676,9 +676,9 @@ class TestKnobValidation:
             CaseStudyConfig(checkpoint_dir=str(tmp_path), checkpoint_every=-1)
 
     def test_trial_batch_is_incompatible_with_checkpointing(self, tmp_path):
-        with pytest.raises(ValueError, match="trial_batch"):
+        with pytest.raises(ValueError, match="incompatible with checkpointing"):
             CaseStudyConfig(
-                checkpoint_dir=str(tmp_path), checkpoint_every=5, trial_batch=True
+                checkpoint_dir=str(tmp_path), checkpoint_every=5, execution="batch"
             )
 
     def test_run_trial_override_is_validated(self, tiny_config):
@@ -688,10 +688,10 @@ class TestKnobValidation:
     def test_run_experiment_override_is_validated(self, tiny_config):
         with pytest.raises(ValueError, match="--checkpoint-dir"):
             run_experiment(tiny_config, checkpoint_every=3)
-        with pytest.raises(ValueError, match="trial_batch"):
+        with pytest.raises(ValueError, match="incompatible with checkpointing"):
             run_experiment(
                 tiny_config,
-                trial_batch=True,
+                execution="batch",
                 checkpoint_dir="/tmp/x",
                 checkpoint_every=3,
             )

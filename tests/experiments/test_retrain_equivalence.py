@@ -52,38 +52,33 @@ def _executions() -> tuple:
     override = os.environ.get("REPRO_TEST_EXECUTION")
     if override:
         return (override,)
-    return ("serial", "sharded", "batched")
+    return ("serial", "shard", "batch")
 
 
 MODES = _modes()
 EXECUTIONS = _executions()
 
 
-def _shard_kwargs(execution: str) -> dict:
-    if execution == "sharded":
-        return dict(num_shards=2, shard_parallel=True)
-    return {}
-
-
 def _execution_trial(config, trial_index: int, retrain_mode: str, execution: str):
-    """Run one trial under the given execution layout.
+    """Run one trial under the given execution mode.
 
-    ``serial`` and ``sharded`` drive :func:`run_trial` directly;
-    ``batched`` routes through the trial-batched engine
-    (``run_experiment(..., trial_batch=True)``), whose trial rows are
+    ``serial`` and ``shard`` (two shard workers) drive :func:`run_trial`
+    directly; ``batch`` routes through the trial-batched engine
+    (``run_experiment(..., execution="batch")``), whose trial rows are
     bit-identical to their serial twins — so every retrain-mode guarantee
     must hold there cell for cell too.
     """
-    if execution == "batched":
+    if execution == "batch":
         from repro.experiments.runner import run_experiment
 
-        result = run_experiment(config, retrain_mode=retrain_mode, trial_batch=True)
+        result = run_experiment(config, retrain_mode=retrain_mode, execution="batch")
         return result.trials[trial_index]
     return run_trial(
         config,
         trial_index=trial_index,
         retrain_mode=retrain_mode,
-        **_shard_kwargs(execution),
+        num_shards=2,
+        execution=execution,
     )
 
 
@@ -106,7 +101,7 @@ def _final_card_points(trial_seed: int, num_users: int, mode: str, **kwargs):
         population=population,
         loop_filter=DefaultRateFilter(num_users=num_users),
     )
-    history = loop.run(19, rng=trial_seed, **_shard_kwargs("serial"))
+    history = loop.run(19, rng=trial_seed)
     card = system.lender.scorecard
     points = {factor.name: factor.points for factor in card.factors}
     points["__base__"] = card.base_score
@@ -173,7 +168,7 @@ class TestPooledCompressedIsBitIdentical:
 
     @pytest.mark.parametrize("num_shards", [2, 8])
     def test_pooled_equals_serial_compressed(self, num_shards):
-        if "compressed" not in MODES or "sharded" not in EXECUTIONS:
+        if "compressed" not in MODES or "shard" not in EXECUTIONS:
             pytest.skip("matrix cell does not cover pooled compressed runs")
         config = CaseStudyConfig(num_users=400, num_trials=1)
         serial = run_trial(config, trial_index=0, retrain_mode="compressed")
@@ -182,7 +177,7 @@ class TestPooledCompressedIsBitIdentical:
             trial_index=0,
             retrain_mode="compressed",
             num_shards=num_shards,
-            shard_parallel=True,
+            execution="shard",
         )
         assert np.array_equal(
             serial.history.decisions_matrix(), pooled.history.decisions_matrix()
@@ -194,7 +189,7 @@ class TestPooledCompressedIsBitIdentical:
 
     def test_pooled_central_fit_sees_the_exact_merged_table(self):
         """The orchestrator's merged table equals one-pass compression."""
-        if "compressed" not in MODES or "sharded" not in EXECUTIONS:
+        if "compressed" not in MODES or "shard" not in EXECUTIONS:
             pytest.skip("matrix cell does not cover pooled compressed runs")
         from repro.core.ai_system import CreditScoringSystem
         from repro.core.filters import DefaultRateFilter

@@ -2,9 +2,10 @@
 
 The sharded engine's invariant is that a trial's trajectory is a pure
 function of ``(trial seed, canonical shard partition, step)`` — the worker
-count (``num_shards``), the executor kind (``shard_parallel``) and the
-history mode are pure execution details.  This suite pins that invariant
-against the same golden digests as ``test_engine_equivalence.py``:
+count (``num_shards``), the executor kind (``execution="serial"`` or
+``"shard"``) and the history mode are pure execution details.  This suite
+pins that invariant against the same golden digests as
+``test_engine_equivalence.py``:
 
 * group-level series digests for ``num_shards in {1, 2, 8}``, serial and
   process-pooled, in both history modes;
@@ -25,6 +26,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.planner import ExecutionPlan
 from repro.core.streaming import AggregateHistory
 from repro.experiments.config import CaseStudyConfig
 from repro.experiments.runner import run_experiment, run_trial
@@ -58,18 +60,18 @@ def reference_trial(small_config):
 
 
 class TestShardCountInvariance:
-    """num_shards x shard_parallel x history_mode -> one golden stream."""
+    """num_shards x execution x history_mode -> one golden stream."""
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("shard_parallel", [False, True])
+    @pytest.mark.parametrize("execution", ["serial", "shard"])
     def test_full_mode_matches_goldens(
-        self, small_config, num_shards, shard_parallel
+        self, small_config, num_shards, execution
     ):
         trial = run_trial(
             small_config,
             trial_index=0,
             num_shards=num_shards,
-            shard_parallel=shard_parallel,
+            execution=execution,
         )
         assert group_digests(trial) == expected_group_digests()
         assert digest(trial.user_default_rates) == ENGINE_GOLDEN["trial0_user_rates"]
@@ -88,16 +90,16 @@ class TestShardCountInvariance:
         )
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("shard_parallel", [False, True])
+    @pytest.mark.parametrize("execution", ["serial", "shard"])
     def test_aggregate_mode_matches_goldens(
-        self, small_config, num_shards, shard_parallel
+        self, small_config, num_shards, execution
     ):
         trial = run_trial(
             small_config,
             trial_index=0,
             history_mode="aggregate",
             num_shards=num_shards,
-            shard_parallel=shard_parallel,
+            execution=execution,
         )
         assert isinstance(trial.history, AggregateHistory)
         assert group_digests(trial) == expected_group_digests()
@@ -219,10 +221,16 @@ class TestExperimentLevelComposition:
         serial = run_experiment(small_config)
         composed = run_experiment(
             small_config,
-            parallel=True,
-            max_workers=2,
-            num_shards=2,
-            shard_parallel=True,
+            execution=ExecutionPlan(
+                execution="auto",
+                layout="pool+shard",
+                trial_batch=False,
+                parallel=True,
+                max_workers=2,
+                num_shards=2,
+                shard_parallel=True,
+                cpu_count=4,
+            ),
         )
         assert len(serial.trials) == len(composed.trials)
         for left, right in zip(serial.trials, composed.trials):
@@ -233,7 +241,7 @@ class TestExperimentLevelComposition:
             num_users=small_config.num_users,
             num_trials=1,
             num_shards=2,
-            shard_parallel=True,
+            execution="shard",
         )
         result = run_experiment(config)
         assert np.array_equal(

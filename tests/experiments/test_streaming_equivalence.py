@@ -241,7 +241,7 @@ class TestAggregateParallelAndChunked:
 
     def test_parallel_aggregate_matches_serial(self, small_config, aggregate_small):
         parallel = run_experiment(
-            small_config, history_mode="aggregate", parallel=True, max_workers=2
+            small_config, history_mode="aggregate", execution="pool", max_workers=2
         )
         for serial_trial, parallel_trial in zip(
             aggregate_small.trials, parallel.trials

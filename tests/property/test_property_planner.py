@@ -17,9 +17,9 @@ Three families of invariants over arbitrary workload shapes and hosts:
   bench record or checkpoint without losing identity.
 
 Forbidden combinations are covered as rejection properties: the batch
-mode with checkpoint knobs, the ``execution`` knob alongside any legacy
-layout switch, and degenerate inputs all raise ``ValueError`` before any
-work starts.
+mode with checkpoint knobs — whether named or already resolved into a
+plan — and degenerate inputs all raise ``ValueError`` before any work
+starts.
 """
 
 from __future__ import annotations
@@ -149,13 +149,21 @@ class TestForbiddenCombosAreRejected:
             )
 
     @given(
-        execution=st.sampled_from(EXECUTION_MODES),
-        legacy=st.sampled_from(("parallel", "trial_batch", "shard_parallel")),
+        inputs=plan_inputs(),
+        checkpoint_every=st.integers(min_value=0, max_value=8),
+        resume=st.booleans(),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_legacy_switches_never_combine_with_execution(self, execution, legacy):
-        with pytest.raises(ValueError, match="legacy layout switches"):
-            validate_execution_settings(execution, **{legacy: True})
+    @settings(max_examples=100, deadline=None)
+    def test_resolved_plans_validate_like_their_mode(
+        self, inputs, checkpoint_every, resume
+    ):
+        plan = plan_execution(**inputs)
+        knobs = dict(checkpoint_every=checkpoint_every, resume=resume)
+        if plan.trial_batch and (checkpoint_every > 0 or resume):
+            with pytest.raises(ValueError, match="incompatible with checkpointing"):
+                validate_execution_settings(plan, **knobs)
+        else:
+            validate_execution_settings(plan, **knobs)
 
     @given(trials=st.integers(max_value=0))
     @settings(max_examples=20, deadline=None)

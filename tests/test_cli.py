@@ -39,8 +39,15 @@ class TestParser:
             build_parser().parse_args(["--retrain-mode", "subsampled", "fig3"])
 
     def test_trial_batch_flag_is_parsed(self):
-        assert not build_parser().parse_args(["fig3"]).trial_batch
-        assert build_parser().parse_args(["--trial-batch", "fig3"]).trial_batch
+        # --execution is the one layout flag; the retired switches are gone.
+        assert build_parser().parse_args(["fig3"]).execution == "serial"
+        assert (
+            build_parser().parse_args(["--execution", "batch", "fig3"]).execution
+            == "batch"
+        )
+        for retired in ("--trial-batch", "--shard-parallel"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([retired, "fig3"])
 
     def test_checkpoint_flags_are_parsed(self):
         arguments = build_parser().parse_args(["fig3"])
@@ -105,7 +112,7 @@ class TestCommands:
     def test_fig3_runs_trial_batched(self, capsys):
         assert (
             main(
-                ["--users", "80", "--trials", "2", "--trial-batch", "fig3"]
+                ["--users", "80", "--trials", "2", "--execution", "batch", "fig3"]
             )
             == 0
         )

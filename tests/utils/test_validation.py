@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
+    require_flag,
     require_in_range,
+    require_integer,
     require_non_negative,
     require_positive,
     require_probability,
     require_probability_vector,
+    require_real,
 )
 
 
@@ -89,3 +92,33 @@ class TestRequireInRange:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             require_in_range(math.nan, "x", 0.0, 1.0)
+
+
+class TestTypedValues:
+    def test_integers(self):
+        assert require_integer(3, "n") == 3
+        assert type(require_integer(np.int64(3), "n")) is int
+        for bad in (3.0, True, np.bool_(True), "3", None):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                require_integer(bad, "n")
+
+    def test_flags(self):
+        assert require_flag(False, "f") is False
+        assert require_flag(np.bool_(True), "f") is True
+        for bad in ("no", 0, 1, None):
+            with pytest.raises(ValueError, match="f must be true or false"):
+                require_flag(bad, "f")
+
+    def test_reals(self):
+        assert require_real(2, "r") == 2.0
+        assert require_real(np.float32(0.5), "r") == 0.5
+        for bad in ("x", True, None, [1.0]):
+            with pytest.raises(ValueError, match="r must be a real number"):
+                require_real(bad, "r")
+        for bad in (math.nan, math.inf, 10**400):
+            with pytest.raises(ValueError, match="r must be finite"):
+                require_real(bad, "r")
+
+    def test_positive_rejects_ints_beyond_float_range(self):
+        with pytest.raises(ValueError, match="x"):
+            require_positive(10**400, "x")
