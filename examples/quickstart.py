@@ -17,9 +17,14 @@ trajectory stays bit-identical.
 Run with::
 
     python examples/quickstart.py
+
+Every bit-identity verdict it prints is also checked: the script exits
+non-zero if any of them is ``False``.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -36,6 +41,16 @@ from repro.core.metrics import group_average_series
 from repro.credit.lender import Lender
 from repro.data import PopulationSpec, generate_population
 from repro.data.census import Race
+
+#: Labels of the bit-identity checks that failed; non-empty means exit 1.
+_MISMATCHES: list[str] = []
+
+
+def _verdict(label: str, identical: bool) -> bool:
+    """Record one bit-identity verdict and return it for printing."""
+    if not identical:
+        _MISMATCHES.append(label)
+    return identical
 
 
 def main() -> None:
@@ -120,7 +135,10 @@ def streaming_variant(full_history_series) -> None:
     print("\n-- streaming variant (history_mode='aggregate') --")
     series = history.group_default_rate_series()
     for race in Race:
-        identical = bool(np.array_equal(series[race], full_history_series[race]))
+        identical = _verdict(
+            f"streaming {race.name}",
+            bool(np.array_equal(series[race], full_history_series[race])),
+        )
         print(
             f"  {race.value:<12} 2002: {series[race][0]:.3f}   "
             f"2020: {series[race][-1]:.3f}   bit-identical to full history: {identical}"
@@ -167,7 +185,10 @@ def sharded_variant(reference_series) -> None:
     print("\n-- sharded variant (num_shards=4, shard_parallel=True) --")
     series = history.group_default_rate_series()
     for race in Race:
-        identical = bool(np.array_equal(series[race], reference_series[race]))
+        identical = _verdict(
+            f"sharded {race.name}",
+            bool(np.array_equal(series[race], reference_series[race])),
+        )
         print(
             f"  {race.value:<12} bit-identical to the serial run: {identical}"
         )
@@ -209,7 +230,10 @@ def compressed_variant(reference_series) -> None:
     print("\n-- compressed variant (retrain_mode='compressed') --")
     series = history.group_default_rate_series()
     for race in Race:
-        identical = bool(np.array_equal(series[race], reference_series[race]))
+        identical = _verdict(
+            f"compressed {race.name}",
+            bool(np.array_equal(series[race], reference_series[race])),
+        )
         print(
             f"  {race.value:<12} identical trajectory to the exact refit: {identical}"
         )
@@ -242,10 +266,13 @@ def batched_sweep_variant() -> None:
     for index, (serial_trial, batched_trial) in enumerate(
         zip(serial.trials, batched.trials)
     ):
-        identical = bool(
-            np.array_equal(
-                serial_trial.user_default_rates, batched_trial.user_default_rates
-            )
+        identical = _verdict(
+            f"batched trial {index}",
+            bool(
+                np.array_equal(
+                    serial_trial.user_default_rates, batched_trial.user_default_rates
+                )
+            ),
         )
         print(f"  trial {index}: bit-identical to its serial twin: {identical}")
     gap = {
@@ -278,7 +305,6 @@ def kill_and_resume_variant() -> None:
     """
     import os
     import subprocess
-    import sys
     import tempfile
 
     from repro.experiments import CaseStudyConfig, run_experiment
@@ -325,10 +351,14 @@ def kill_and_resume_variant() -> None:
         for index, (golden_trial, resumed_trial) in enumerate(
             zip(golden.trials, resumed.trials)
         ):
-            identical = bool(
-                np.array_equal(
-                    golden_trial.user_default_rates, resumed_trial.user_default_rates
-                )
+            identical = _verdict(
+                f"resumed trial {index}",
+                bool(
+                    np.array_equal(
+                        golden_trial.user_default_rates,
+                        resumed_trial.user_default_rates,
+                    )
+                ),
             )
             print(
                 f"  trial {index}: resumed run bit-identical to uninterrupted: {identical}"
@@ -370,10 +400,13 @@ def planner_variant() -> None:
     for index, (serial_trial, auto_trial) in enumerate(
         zip(serial.trials, auto.trials)
     ):
-        identical = bool(
-            np.array_equal(
-                serial_trial.user_default_rates, auto_trial.user_default_rates
-            )
+        identical = _verdict(
+            f"planner trial {index}",
+            bool(
+                np.array_equal(
+                    serial_trial.user_default_rates, auto_trial.user_default_rates
+                )
+            ),
         )
         print(f"  trial {index}: bit-identical to the serial reference: {identical}")
 
@@ -426,15 +459,18 @@ def campaign_variant() -> None:
         f"{cold_seconds / max(warm_seconds, 1e-9):.0f}x faster)"
     )
     for before, after in zip(cold.outcomes, warm.outcomes):
-        identical = all(
-            bool(
-                np.array_equal(
-                    before.series.group_default_rates[race],
-                    after.series.group_default_rates[race],
-                    equal_nan=True,
+        identical = _verdict(
+            f"cached {after.job.job_id}",
+            all(
+                bool(
+                    np.array_equal(
+                        before.series.group_default_rates[race],
+                        after.series.group_default_rates[race],
+                        equal_nan=True,
+                    )
                 )
-            )
-            for race in Race
+                for race in Race
+            ),
         )
         print(
             f"  {after.job.job_id}: cached series bit-identical: {identical}"
@@ -443,3 +479,5 @@ def campaign_variant() -> None:
 
 if __name__ == "__main__":
     main()
+    if _MISMATCHES:
+        sys.exit(f"bit-identity check failed: {', '.join(_MISMATCHES)}")

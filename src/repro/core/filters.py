@@ -25,7 +25,6 @@ from repro.credit.default_rates import DefaultRateTracker
 __all__ = [
     "LoopFilter",
     "DefaultRateFilter",
-    "BatchedDefaultRateFilter",
     "CumulativeAverageFilter",
     "ExponentialMovingAverageFilter",
     "IntegralFilter",
@@ -131,121 +130,8 @@ class DefaultRateFilter:
         self, decisions: np.ndarray, actions: np.ndarray, k: int
     ) -> Observation:
         """Record one step of offers and repayments."""
-        self._tracker.record(decisions.astype(int), actions.astype(int))
+        self._tracker.record(decisions, actions)
         return self.observation()
-
-
-class BatchedDefaultRateFilter:
-    """A stack of independent default-rate filters advanced in lockstep.
-
-    The trial-batched engine runs ``T`` trials of the same closed loop side
-    by side; each trial owns an independent
-    :class:`~repro.credit.default_rates.DefaultRateTracker`, but the
-    per-step arithmetic (integer offer/repayment counts, the ``ADR_i``
-    ratio, the pooled portfolio rate) is identical across trials.  This
-    class keeps the ``T`` trackers' cumulative state stacked as ``(trials,
-    users)`` arrays so one fused call replaces ``T`` scalar-dispatch
-    updates.
-
-    Row ``t`` is bit-identical, at every step, to a plain
-    :class:`DefaultRateFilter` over trial ``t``'s stream: the counts are
-    small integers (exact in float), the rate fold uses the same masked
-    division as :meth:`DefaultRateTracker.user_rates`, and the portfolio
-    ratio sums each row contiguously exactly like the per-trial
-    ``tracker.offers.sum()``.  Pinned by ``tests/core/test_filters.py`` and
-    the batch-equivalence suite.
-    """
-
-    def __init__(
-        self, num_trials: int, num_users: int, prior_rate: float = 0.0
-    ) -> None:
-        if num_trials <= 0:
-            raise ValueError("num_trials must be positive")
-        if num_users <= 0:
-            raise ValueError("num_users must be positive")
-        if not 0.0 <= prior_rate <= 1.0:
-            raise ValueError("prior_rate must lie in [0, 1]")
-        self._num_trials = int(num_trials)
-        self._num_users = int(num_users)
-        self._prior_rate = float(prior_rate)
-        self._offers = np.zeros((num_trials, num_users), dtype=float)
-        self._repayments = np.zeros((num_trials, num_users), dtype=float)
-        self._steps_recorded = 0
-
-    @property
-    def num_trials(self) -> int:
-        """Return the number of stacked trials."""
-        return self._num_trials
-
-    @property
-    def num_users(self) -> int:
-        """Return the number of users per trial."""
-        return self._num_users
-
-    @property
-    def steps_recorded(self) -> int:
-        """Return how many lockstep steps have been recorded."""
-        return self._steps_recorded
-
-    def update(self, decisions: np.ndarray, actions: np.ndarray) -> None:
-        """Fold one lockstep step of ``(trials, users)`` decisions/actions.
-
-        Mirrors ``T`` independent :meth:`DefaultRateFilter.update` calls:
-        offers accumulate the 0/1 decisions, repayments the actions of
-        offered users.  Inputs are trusted 0/1 float arrays (the batched
-        engine produces them); only shapes are validated here.
-        """
-        shape = (self._num_trials, self._num_users)
-        if decisions.shape != shape or actions.shape != shape:
-            raise ValueError(
-                f"decisions and actions must both have shape {shape}"
-            )
-        self._offers += decisions
-        self._repayments += actions * decisions
-        self._steps_recorded += 1
-
-    def user_rates(self) -> np.ndarray:
-        """Return the stacked ``ADR_i(k)`` matrix, one row per trial.
-
-        Row-wise bit-identical to :meth:`DefaultRateTracker.user_rates`:
-        never-offered users report the prior rate, everyone else the exact
-        ``1 - repayments / offers`` ratio.
-        """
-        rates = np.full(
-            (self._num_trials, self._num_users), self._prior_rate, dtype=float
-        )
-        offered = self._offers > 0
-        rates[offered] = 1.0 - self._repayments[offered] / self._offers[offered]
-        return rates
-
-    def portfolio_rates(self) -> np.ndarray:
-        """Return the pooled default rate of each trial's offers so far."""
-        rates = np.empty(self._num_trials, dtype=float)
-        for trial in range(self._num_trials):
-            # Per-row contiguous sums reproduce the per-trial tracker's
-            # reduction order exactly (same length, same layout).
-            total_offers = float(self._offers[trial].sum())
-            if total_offers == 0:
-                rates[trial] = self._prior_rate
-            else:
-                rates[trial] = float(
-                    1.0 - self._repayments[trial].sum() / total_offers
-                )
-        return rates
-
-    def tracker_for_trial(self, trial: int) -> DefaultRateTracker:
-        """Return trial ``trial``'s state as a standalone tracker."""
-        if not 0 <= trial < self._num_trials:
-            raise ValueError("trial index out of range")
-        return DefaultRateTracker.from_state(
-            {
-                "num_users": self._num_users,
-                "prior_rate": self._prior_rate,
-                "offers": self._offers[trial].copy(),
-                "repayments": self._repayments[trial].copy(),
-                "steps_recorded": self._steps_recorded,
-            }
-        )
 
 
 class CumulativeAverageFilter:

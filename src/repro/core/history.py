@@ -232,11 +232,6 @@ class SimulationHistory:
         self._running_rates = np.empty((0, 0), dtype=float)
         self._running_actions = np.empty((0, 0), dtype=float)
         self._approvals = np.empty(0, dtype=float)
-        # True while _offers_cum/_repayments_cum/_actions_cum reflect every
-        # recorded step; record_step_precomputed skips maintaining them (its
-        # caller already computed the derived rows) and a later plain
-        # record_step rebuilds them first (exact — see _rebuild_cums).
-        self._cums_valid = True
         if records is not None:
             for record in records:
                 self.append(record)
@@ -271,34 +266,6 @@ class SimulationHistory:
         """
         decisions_row = np.asarray(decisions, dtype=float).ravel()
         actions_row = np.asarray(actions, dtype=float).ravel()
-        if not self._cums_valid:
-            self._rebuild_cums()
-        row = self._ingest_row(
-            step, public_features, observation, decisions_row, actions_row
-        )
-        self._update_running_stats(row)
-        self._num_steps += 1
-
-    def _ingest_row(
-        self,
-        step: int,
-        public_features: Mapping[str, np.ndarray],
-        observation: Mapping[str, np.ndarray | float],
-        decisions_row: np.ndarray,
-        actions_row: np.ndarray,
-    ) -> int:
-        """Validate and write one step's columns; return the row index.
-
-        The shared tail of both ingest paths (:meth:`record_step` and
-        :meth:`record_step_precomputed`): per-user shape checks, column
-        value preparation *before* any storage mutation (a bad value
-        leaves the history exactly as it was — a half-written step would
-        poison the column coverage bookkeeping), lazy initialisation and
-        growth, and the columnar row writes.  Public features are always
-        per-user-shaped series: scalars are promoted to width-1 columns so
-        ``public_feature_matrix`` stays 2-D.  The caller appends the
-        derived statistics for ``row`` and advances ``_num_steps``.
-        """
         expected_users = (
             self._num_users if self._num_users is not None else decisions_row.shape[0]
         )
@@ -312,6 +279,11 @@ class SimulationHistory:
                 "actions must have one entry per user "
                 f"({actions_row.shape[0]} != {expected_users})"
             )
+        # Prepare every column value before any storage mutation: a bad
+        # value leaves the history exactly as it was (a half-written step
+        # would poison the column coverage bookkeeping).  Public features
+        # are always per-user-shaped series: scalars are promoted to
+        # width-1 columns so ``public_feature_matrix`` stays 2-D.
         feature_rows = [
             (
                 name,
@@ -337,79 +309,8 @@ class SimulationHistory:
             self._write_column(self._features, name, row, value)
         for name, value in observation_rows:
             self._write_column(self._observations, name, row, value)
-        return row
-
-    def record_step_precomputed(
-        self,
-        step: int,
-        public_features: Mapping[str, np.ndarray],
-        decisions: np.ndarray,
-        actions: np.ndarray,
-        observation: Mapping[str, np.ndarray | float],
-        *,
-        running_rates: np.ndarray,
-        running_actions: np.ndarray,
-        approval: float,
-    ) -> None:
-        """Ingest one step whose derived statistics are already computed.
-
-        The trial-batched engine maintains the cumulative offer/repayment
-        state for all trials at once, so per-trial histories would
-        recompute the identical ``O(users)`` running-statistics rows ``T``
-        times per step.  This ingest path stores the caller's rows directly
-        instead of running :meth:`_update_running_stats`.
-
-        The caller **must** supply exactly what the incremental layer would
-        compute for this step — ``running_rates`` equal to
-        :func:`running_default_rates_from_cums` over the history's
-        cumulative 0/1 decisions/actions, ``running_actions`` the Cesàro
-        row, ``approval`` the decision mean — or the stored series (and the
-        ``recompute_*`` cross-checks) would silently disagree.  The batch
-        equivalence suite pins this bit for bit.  Mixing with the plain
-        :meth:`record_step` afterwards is supported: the cumulative vectors
-        are rebuilt exactly from the recorded 0/1 columns on the next plain
-        ingest.
-        """
-        decisions_row = np.asarray(decisions, dtype=float).ravel()
-        actions_row = np.asarray(actions, dtype=float).ravel()
-        rates_row = np.asarray(running_rates, dtype=float).ravel()
-        running_actions_row = np.asarray(running_actions, dtype=float).ravel()
-        expected_users = (
-            self._num_users if self._num_users is not None else decisions_row.shape[0]
-        )
-        for name, row_value in (
-            ("running_rates", rates_row),
-            ("running_actions", running_actions_row),
-        ):
-            if row_value.shape[0] != expected_users:
-                raise ValueError(
-                    f"{name} must have one entry per user "
-                    f"({row_value.shape[0]} != {expected_users})"
-                )
-        row = self._ingest_row(
-            step, public_features, observation, decisions_row, actions_row
-        )
-        self._running_rates[row, :] = rates_row
-        self._running_actions[row, :] = running_actions_row
-        self._approvals[row] = float(approval)
-        self._cums_valid = False
+        self._update_running_stats(row)
         self._num_steps += 1
-
-    def _rebuild_cums(self) -> None:
-        """Rebuild the cumulative vectors from the recorded columns.
-
-        Decisions and actions are 0/1, so their per-user column sums are
-        small integers — exact in float regardless of summation order —
-        and the rebuilt vectors equal the sequential per-step accumulation
-        bit for bit.
-        """
-        filled = self._num_steps
-        decisions = self._decisions[:filled]
-        actions = self._actions[:filled]
-        self._offers_cum = decisions.sum(axis=0)
-        self._repayments_cum = (actions * decisions).sum(axis=0)
-        self._actions_cum = actions.sum(axis=0)
-        self._cums_valid = True
 
     @staticmethod
     def _prepare_value(

@@ -58,7 +58,6 @@ from repro.core.history import (
 
 __all__ = [
     "StreamingAggregator",
-    "BatchedStreamingAggregator",
     "AggregateHistory",
     "sequential_sum",
     "DEFAULT_RATE_BINS",
@@ -616,249 +615,6 @@ class StreamingAggregator:
         return merged
 
 
-class BatchedStreamingAggregator:
-    """``T`` independent streaming aggregators advanced in lockstep.
-
-    The trial-batched engine records ``T`` trials of the same closed loop
-    side by side.  Each trial's aggregate series are defined over its own
-    user stream, but the expensive per-step state updates — the cumulative
-    offer/repayment/action vectors and the derived ``ADR_i`` / Cesàro
-    rows — are identical elementwise math, so this class keeps them
-    stacked as ``(trials, users)`` arrays and updates them in single fused
-    calls.  The per-trial reductions (sums, extrema, histograms, and the
-    sequential group folds) run on contiguous rows of the stack, which is
-    the same memory layout a standalone
-    :class:`StreamingAggregator` reduces — every series of trial ``t`` is
-    therefore **bit-identical** to feeding trial ``t``'s stream through its
-    own aggregator (pinned by ``tests/core/test_streaming.py`` and the
-    batch-equivalence suite).
-
-    Parameters
-    ----------
-    num_trials:
-        Number of stacked trials.
-    num_users:
-        Users per trial.
-    groups_per_trial:
-        One group partition per trial (trials draw independent populations,
-        so the race index sets differ row by row).
-    prior_rate, rate_bins:
-        As in :class:`StreamingAggregator`, shared by every trial.
-    """
-
-    def __init__(
-        self,
-        num_trials: int,
-        num_users: int,
-        groups_per_trial: "list[Mapping[object, np.ndarray] | None]",
-        prior_rate: float = 0.0,
-        rate_bins: int = DEFAULT_RATE_BINS,
-    ) -> None:
-        if num_trials <= 0:
-            raise ValueError("num_trials must be positive")
-        if num_users <= 0:
-            raise ValueError("num_users must be positive")
-        if rate_bins < 2:
-            raise ValueError("rate_bins must be at least 2")
-        if len(groups_per_trial) != num_trials:
-            raise ValueError("groups_per_trial must have one partition per trial")
-        self._num_trials = int(num_trials)
-        self._num_users = int(num_users)
-        self._prior_rate = float(prior_rate)
-        self._rate_bins = int(rate_bins)
-        self._rate_edges = np.linspace(0.0, 1.0, self._rate_bins + 1)
-        self._groups = [
-            _validated_groups(groups, self._num_users) for groups in groups_per_trial
-        ]
-        self._num_steps = 0
-        self._capacity = _INITIAL_CAPACITY
-        shape = (self._num_trials, self._num_users)
-        # Fused O(trials * users) running state (one array, not T).
-        self._offers_cum = np.zeros(shape, dtype=float)
-        self._repayments_cum = np.zeros(shape, dtype=float)
-        self._actions_cum = np.zeros(shape, dtype=float)
-        # Per-trial O(steps) series, stacked as (trials, capacity).
-        series_shape = (self._num_trials, self._capacity)
-        self._approvals = np.empty(series_shape, dtype=float)
-        self._decision_sums = np.empty(series_shape, dtype=float)
-        self._offers_totals = np.empty(series_shape, dtype=float)
-        self._repayments_totals = np.empty(series_shape, dtype=float)
-        self._portfolio = np.empty(series_shape, dtype=float)
-        self._rate_sums = np.empty(series_shape, dtype=float)
-        self._rate_sumsqs = np.empty(series_shape, dtype=float)
-        self._rate_mins = np.empty(series_shape, dtype=float)
-        self._rate_maxs = np.empty(series_shape, dtype=float)
-        self._rate_hist = np.zeros(
-            (self._num_trials, self._capacity, self._rate_bins), dtype=np.int64
-        )
-        self._rate_low_counts = np.zeros(series_shape, dtype=np.int64)
-        self._group_rate_sums = [
-            {key: np.empty(self._capacity) for key in groups}
-            for groups in self._groups
-        ]
-        self._group_action_sums = [
-            {key: np.empty(self._capacity) for key in groups}
-            for groups in self._groups
-        ]
-        self._group_decision_sums = [
-            {key: np.empty(self._capacity) for key in groups}
-            for groups in self._groups
-        ]
-
-    @property
-    def num_trials(self) -> int:
-        """Return the number of stacked trials."""
-        return self._num_trials
-
-    @property
-    def num_steps(self) -> int:
-        """Return the number of lockstep-aggregated steps."""
-        return self._num_steps
-
-    def _grow(self) -> None:
-        new_capacity = max(_INITIAL_CAPACITY, self._capacity * 2)
-        filled = self._num_steps
-
-        def regrow(stacked: np.ndarray) -> np.ndarray:
-            fresh = np.empty(
-                (self._num_trials, new_capacity) + stacked.shape[2:],
-                dtype=stacked.dtype,
-            )
-            fresh[:, :filled] = stacked[:, :filled]
-            return fresh
-
-        for attribute in (
-            "_approvals",
-            "_decision_sums",
-            "_offers_totals",
-            "_repayments_totals",
-            "_portfolio",
-            "_rate_sums",
-            "_rate_sumsqs",
-            "_rate_mins",
-            "_rate_maxs",
-            "_rate_hist",
-            "_rate_low_counts",
-        ):
-            setattr(self, attribute, regrow(getattr(self, attribute)))
-        for per_trial in (
-            self._group_rate_sums,
-            self._group_action_sums,
-            self._group_decision_sums,
-        ):
-            for series in per_trial:
-                for key in series:
-                    series[key] = _grown(series[key], new_capacity, filled)
-        self._capacity = new_capacity
-
-    def update(self, decisions: np.ndarray, actions: np.ndarray) -> None:
-        """Fold one lockstep step of ``(trials, users)`` decisions/actions.
-
-        Replays :meth:`StreamingAggregator.update` for every trial: the
-        cumulative vectors and derived per-user rows update in fused 2-D
-        operations (elementwise, hence row-identical), the per-step scalars
-        and group folds reduce each contiguous trial row exactly as the
-        standalone aggregator reduces its own arrays.
-        """
-        shape = (self._num_trials, self._num_users)
-        if decisions.shape != shape or actions.shape != shape:
-            raise ValueError(
-                f"decisions and actions must both have shape {shape}"
-            )
-        if self._num_steps >= self._capacity:
-            self._grow()
-        row = self._num_steps
-        self._offers_cum += decisions
-        self._repayments_cum += actions * decisions
-        self._actions_cum += actions
-        rates = running_default_rates_from_cums(
-            self._offers_cum, self._repayments_cum
-        )
-        cesaro = self._actions_cum / float(row + 1)
-        low_mask = rates <= RATE_HISTOGRAM_LOW_THRESHOLD
-        for trial in range(self._num_trials):
-            decisions_row = decisions[trial]
-            rates_row = rates[trial]
-            self._approvals[trial, row] = np.mean(decisions_row)
-            self._decision_sums[trial, row] = float(decisions_row.sum())
-            offers_total = float(self._offers_cum[trial].sum())
-            repayments_total = float(self._repayments_cum[trial].sum())
-            self._offers_totals[trial, row] = offers_total
-            self._repayments_totals[trial, row] = repayments_total
-            self._portfolio[trial, row] = (
-                self._prior_rate
-                if offers_total == 0
-                else 1.0 - repayments_total / offers_total
-            )
-            self._rate_sums[trial, row] = float(rates_row.sum())
-            self._rate_sumsqs[trial, row] = float(np.dot(rates_row, rates_row))
-            self._rate_mins[trial, row] = float(rates_row.min())
-            self._rate_maxs[trial, row] = float(rates_row.max())
-            self._rate_hist[trial, row], _ = np.histogram(
-                rates_row, bins=self._rate_edges
-            )
-            self._rate_low_counts[trial, row] = int(
-                np.count_nonzero(low_mask[trial])
-            )
-            cesaro_row = cesaro[trial]
-            for key, indices in self._groups[trial].items():
-                self._group_rate_sums[trial][key][row] = sequential_sum(
-                    rates_row[indices]
-                )
-                self._group_action_sums[trial][key][row] = sequential_sum(
-                    cesaro_row[indices]
-                )
-                self._group_decision_sums[trial][key][row] = sequential_sum(
-                    decisions_row[indices]
-                )
-        self._num_steps += 1
-
-    def trial_state(self, trial: int) -> Dict[str, object]:
-        """Return trial ``trial``'s state as a standalone-aggregator snapshot."""
-        if not 0 <= trial < self._num_trials:
-            raise ValueError("trial index out of range")
-        filled = self._num_steps
-        return {
-            "num_users": self._num_users,
-            "prior_rate": self._prior_rate,
-            "num_steps": filled,
-            "groups": {
-                key: indices.copy() for key, indices in self._groups[trial].items()
-            },
-            "rate_bins": self._rate_bins,
-            "rate_hist": self._rate_hist[trial, :filled].copy(),
-            "rate_low_counts": self._rate_low_counts[trial, :filled].copy(),
-            "offers_cum": self._offers_cum[trial].copy(),
-            "repayments_cum": self._repayments_cum[trial].copy(),
-            "actions_cum": self._actions_cum[trial].copy(),
-            "approvals": self._approvals[trial, :filled].copy(),
-            "decision_sums": self._decision_sums[trial, :filled].copy(),
-            "offers_totals": self._offers_totals[trial, :filled].copy(),
-            "repayments_totals": self._repayments_totals[trial, :filled].copy(),
-            "portfolio": self._portfolio[trial, :filled].copy(),
-            "rate_sums": self._rate_sums[trial, :filled].copy(),
-            "rate_sumsqs": self._rate_sumsqs[trial, :filled].copy(),
-            "rate_mins": self._rate_mins[trial, :filled].copy(),
-            "rate_maxs": self._rate_maxs[trial, :filled].copy(),
-            "group_rate_sums": {
-                key: self._group_rate_sums[trial][key][:filled].copy()
-                for key in self._groups[trial]
-            },
-            "group_action_sums": {
-                key: self._group_action_sums[trial][key][:filled].copy()
-                for key in self._groups[trial]
-            },
-            "group_decision_sums": {
-                key: self._group_decision_sums[trial][key][:filled].copy()
-                for key in self._groups[trial]
-            },
-        }
-
-    def aggregator(self, trial: int) -> StreamingAggregator:
-        """Return a live standalone aggregator holding trial ``trial``'s state."""
-        return StreamingAggregator.from_state(self.trial_state(trial))
-
-
 class AggregateHistory:
     """A memory-bounded trajectory store for ``history_mode="aggregate"``.
 
@@ -901,24 +657,6 @@ class AggregateHistory:
             self._aggregator = StreamingAggregator(
                 self._declared_num_users, groups=self._groups, prior_rate=self._prior_rate
             )
-
-    @classmethod
-    def from_aggregator(cls, aggregator: StreamingAggregator) -> "AggregateHistory":
-        """Wrap an existing aggregator as a history.
-
-        The trial-batched engine aggregates all trials through one
-        :class:`BatchedStreamingAggregator` and exposes each trial's slice
-        as a standalone aggregator; this constructor gives it the
-        ``AggregateHistory`` surface :class:`~repro.experiments.runner.TrialResult`
-        expects.  Further ``record_step`` calls continue the wrapped
-        aggregator.
-        """
-        history = cls.__new__(cls)
-        history._declared_num_users = aggregator.num_users
-        history._groups = aggregator.group_indices()
-        history._prior_rate = aggregator.prior_rate
-        history._aggregator = aggregator
-        return history
 
     # ------------------------------------------------------------------
     # Ingest (mirrors SimulationHistory)

@@ -90,9 +90,13 @@ class DefaultRateTracker:
         repaid = np.asarray(repayments, dtype=float).ravel()
         if offered.shape != (self._num_users,) or repaid.shape != (self._num_users,):
             raise ValueError("decisions and repayments must have one entry per user")
-        if np.any(~np.isin(offered, (0.0, 1.0))) or np.any(~np.isin(repaid, (0.0, 1.0))):
+        # Two comparisons per entry: the same verdicts as np.isin(x, (0, 1))
+        # (NaN rejected, -0.0 accepted) at a fraction of its cost.
+        if ((offered != 0.0) & (offered != 1.0)).any() or (
+            (repaid != 0.0) & (repaid != 1.0)
+        ).any():
             raise ValueError("decisions and repayments must be 0/1")
-        if np.any((repaid == 1.0) & (offered == 0.0)):
+        if (repaid > offered).any():  # on 0/1 entries: repaid but not offered
             raise ValueError("a user cannot repay a mortgage that was not offered")
         self._offers += offered
         self._repayments += repaid
@@ -159,7 +163,9 @@ class DefaultRateTracker:
         """Return ``ADR_i(k)`` for every user at the current step."""
         rates = np.full(self._num_users, self._prior_rate, dtype=float)
         offered = self._offers > 0
-        rates[offered] = 1.0 - self._repayments[offered] / self._offers[offered]
+        # 1 - repayments / offers on the offered users, computed in place.
+        np.divide(self._repayments, self._offers, out=rates, where=offered)
+        np.subtract(1.0, rates, out=rates, where=offered)
         return rates
 
     def group_rates(self, groups: Mapping[Race, np.ndarray]) -> Dict[Race, float]:

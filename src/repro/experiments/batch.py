@@ -6,13 +6,20 @@ same closed loop.  The serial runner executes them one
 per-step Python/numpy dispatch cost ``T`` times; on a single-CPU host the
 process-pool alternative only adds IPC.  The
 :class:`BatchedTrialRunner` here amortises that fixed cost across trials
-instead of across processes: the ``T`` per-trial populations are stacked
-into ``(trials, users)`` columns and every deterministic per-step phase —
-the affordability update, the probit repayment probabilities, the
-repayment comparisons, the :class:`~repro.core.filters.DefaultRateFilter`
-integer counts, the running-statistics rows of the full history and the
-streaming group aggregation — runs as single fused calls over the trial
-axis.
+instead of across processes.  It stacks the ``T`` trials into
+``(trials, users)`` blocks only where fusing pays: the per-step draws
+(one bulk generator call per ``(trial, shard)`` and one bracket search
+per race for all trials), the affordability update, the probit repayment
+probabilities and comparisons, the default stack's decide, and the
+one-pass key packing of compressed refits.
+
+State stays per trial.  Each trial owns the same
+:class:`~repro.core.filters.DefaultRateFilter` and the same history object
+(:class:`~repro.core.history.SimulationHistory` or
+:class:`~repro.core.streaming.AggregateHistory`) that
+:meth:`~repro.core.loop.ClosedLoop.run` builds, and every step ends, per
+trial, with the serial loop's own ``filter.update`` and
+``history.record_step`` calls.
 
 Bit-identity contract
 ---------------------
@@ -32,23 +39,16 @@ nothing about the random schedule or the per-trial arithmetic changes:
   draws double for double (pinned by the income-sampler regression tests
   and the batch-equivalence suite);
 * the fused phases are elementwise, so evaluating them on a stacked
-  ``(trials, users)`` block produces the identical bits row by row; every
-  per-trial reduction (portfolio sums, approval means, group folds) runs
-  over a contiguous trial row — the same reduction the serial engine runs
-  over its own arrays;
-* the phases that are genuinely per-trial stay per-trial: each trial's AI
-  system ``decide``/``update`` (scorecard scoring, the yearly refit — T
-  tiny independent IRLS fits per step under
-  ``retrain_mode="compressed"``) is invoked exactly as the serial loop
-  invokes it, on views of the stacked state.
+  ``(trials, users)`` block produces the identical bits row by row;
+* the filter, the recording and each trial's AI system ``decide``/
+  ``update`` (scorecard scoring, the yearly refit — T tiny independent
+  IRLS fits per step under ``retrain_mode="compressed"``) run per trial,
+  through the very calls the serial loop makes.
 
-The engine therefore works with any ``policy_factory`` producing the
-credit loop's 0/1 decisions — only the population/filter/recording
-machinery is batched, and those are the closed-loop components
-:func:`~repro.experiments.runner.run_trial` itself constructs.  (A policy
-returning non-binary decisions is rejected loudly: the serial filter
-truncates such values to integers before counting offers, a corner whose
-implicit semantics the batched counts do not reproduce.)
+The engine therefore works with any ``policy_factory``: a policy the
+default fast path does not recognise takes the generic per-trial
+``decide``/``update`` calls, and a policy returning non-0/1 decisions is
+rejected by the filter exactly as in every other execution mode.
 
 Trade-off vs. the other execution modes: trial batching wins on few cores
 and many trials (it removes per-trial dispatch without spawning
@@ -71,10 +71,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.ai_system import AISystem, CreditScoringSystem
-from repro.core.filters import BatchedDefaultRateFilter
+from repro.core.filters import DefaultRateFilter
 from repro.core.history import SimulationHistory
 from repro.core.population import CreditPopulation
-from repro.core.streaming import AggregateHistory, BatchedStreamingAggregator
+from repro.core.streaming import AggregateHistory
 from repro.credit.borrower import affordability_state
 from repro.credit.lender import Lender
 from repro.credit.mortgage import MortgageTerms
@@ -111,11 +111,10 @@ class BatchedTrialRunner:
         Optional overrides, as in ``run_trial``.  Shared across trials —
         the serial path rebuilds identical immutable objects per trial.
     history_mode:
-        ``"full"`` records per-trial
-        :class:`~repro.core.history.SimulationHistory` objects through the
-        precomputed-statistics fast ingest; ``"aggregate"`` streams all
-        trials through one
-        :class:`~repro.core.streaming.BatchedStreamingAggregator`.
+        ``"full"`` records each trial into a
+        :class:`~repro.core.history.SimulationHistory`; ``"aggregate"``
+        into an :class:`~repro.core.streaming.AggregateHistory` over the
+        trial's race groups — the stores ``run_trial`` records into.
     """
 
     def __init__(
@@ -386,28 +385,23 @@ class BatchedTrialRunner:
         num_trials = config.num_trials
         num_users = config.num_users
         num_steps = config.num_steps
-        full_mode = self._history_mode == "full"
-        histories: List[SimulationHistory] = []
-        aggregate: BatchedStreamingAggregator | None = None
-        if full_mode:
-            histories = [SimulationHistory() for _ in range(num_trials)]
-        else:
-            aggregate = BatchedStreamingAggregator(
-                num_trials,
-                num_users,
-                [population.groups for population in self._populations],
-            )
-        batched_filter = BatchedDefaultRateFilter(num_trials, num_users)
+        # Each trial owns the filter and history ClosedLoop.run would build.
+        filters = [DefaultRateFilter(num_users) for _ in range(num_trials)]
+        histories: List[SimulationHistory | AggregateHistory] = [
+            SimulationHistory()
+            if self._history_mode == "full"
+            else AggregateHistory(num_users=num_users, groups=population.groups)
+            for population in self._populations
+        ]
         draw_buffer = np.empty((num_trials, 3 * num_users), dtype=float)
         incomes = np.empty((num_trials, num_users), dtype=float)
         repayment_uniforms = np.empty((num_trials, num_users), dtype=float)
         decisions = np.empty((num_trials, num_users), dtype=float)
-        actions_cum = np.zeros((num_trials, num_users), dtype=float)
-        # The observation entering a step is the filter state left by the
-        # previous step; the serial path recomputes it from the unchanged
-        # tracker, so carrying the arrays forward changes no bits.
-        rates_before = batched_filter.user_rates()
-        portfolio_before = batched_filter.portfolio_rates()
+        # The stacked ADR_i entering each step, for the fused decide and
+        # refit; refilled from the trials' filter observations every step.
+        rates_before = np.stack(
+            [loop_filter.observation()["user_default_rates"] for loop_filter in filters]
+        )
         affordability = incomes  # placeholder for the num_steps == 0 edge
         for k in range(num_steps):
             year = config.start_year + k
@@ -420,15 +414,10 @@ class BatchedTrialRunner:
             step_observations: List[Dict[str, np.ndarray | float]] = []
             if not fast:
                 for trial in range(num_trials):
-                    # Fresh per-trial dicts with private copies, exactly
-                    # the objects the serial loop hands its AI system
-                    # (begin_step copies the incomes; the filter copies
-                    # its rates).
+                    # Fresh per-trial objects, exactly what the serial loop
+                    # hands its AI system (begin_step copies the incomes).
                     features = {"income": incomes[trial].copy()}
-                    observation: Dict[str, np.ndarray | float] = {
-                        "user_default_rates": rates_before[trial].copy(),
-                        "portfolio_rate": float(portfolio_before[trial]),
-                    }
+                    observation = filters[trial].observation()
                     decisions_row = np.asarray(
                         self._ai_systems[trial].decide(features, observation, k),
                         dtype=float,
@@ -437,17 +426,6 @@ class BatchedTrialRunner:
                         raise ValueError(
                             "the AI system must return one decision per user "
                             f"({decisions_row.shape[0]} != {num_users})"
-                        )
-                    if np.any((decisions_row != 0.0) & (decisions_row != 1.0)):
-                        # The serial filter truncates fractional decisions
-                        # to integers before counting offers, giving them
-                        # quirky implicit semantics; rather than silently
-                        # diverging from that corner, the batched engine
-                        # insists on the credit loop's 0/1 contract.
-                        raise ValueError(
-                            "trial-batched execution requires 0/1 decisions; "
-                            "the AI system returned other values (run "
-                            "another execution mode for non-binary decisions)"
                         )
                     decisions[trial] = decisions_row
                     step_features.append(features)
@@ -500,37 +478,24 @@ class BatchedTrialRunner:
                         step_observations[trial],
                         k,
                     )
-            batched_filter.update(decisions, actions)
-            rates_after = batched_filter.user_rates()
-            portfolio_after = batched_filter.portfolio_rates()
-            if full_mode:
-                actions_cum += actions
-                running_actions = actions_cum / float(k + 1)
-                for trial in range(num_trials):
-                    histories[trial].record_step_precomputed(
-                        k,
-                        # The history copies rows into its columns, so the
-                        # fast path hands it bare views; the generic path
-                        # reuses the dicts the AI systems saw (as the
-                        # serial loop does).
-                        step_features[trial]
-                        if step_features
-                        else {"income": incomes[trial]},
-                        decisions[trial],
-                        actions[trial],
-                        {
-                            "user_default_rates": rates_after[trial],
-                            "portfolio_rate": float(portfolio_after[trial]),
-                        },
-                        running_rates=rates_after[trial],
-                        running_actions=running_actions[trial],
-                        approval=float(np.mean(decisions[trial])),
-                    )
-            else:
-                assert aggregate is not None
-                aggregate.update(decisions, actions)
-            rates_before = rates_after
-            portfolio_before = portfolio_after
+            for trial in range(num_trials):
+                # The serial loop's tail: filter, then record.  The history
+                # copies rows into its own storage, so the fast path hands
+                # it a bare view of the stacked incomes; the generic path
+                # reuses the dict the AI system saw, as the serial loop does.
+                observation = filters[trial].update(
+                    decisions[trial], actions[trial], k
+                )
+                histories[trial].record_step(
+                    k,
+                    step_features[trial]
+                    if step_features
+                    else {"income": incomes[trial]},
+                    decisions[trial],
+                    actions[trial],
+                    observation,
+                )
+                rates_before[trial] = observation["user_default_rates"]
         outcomes: List[TrialOutcome] = []
         for trial in range(num_trials):
             population = self._populations[trial]
@@ -544,14 +509,7 @@ class BatchedTrialRunner:
                         "affordability": affordability[trial],
                     },
                 )
-            if full_mode:
-                history: SimulationHistory | AggregateHistory = histories[trial]
-            else:
-                assert aggregate is not None
-                history = AggregateHistory.from_aggregator(
-                    aggregate.aggregator(trial)
-                )
-            outcomes.append((history, population))
+            outcomes.append((histories[trial], population))
         return outcomes
 
 

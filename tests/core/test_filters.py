@@ -196,62 +196,3 @@ class TestAnomalyClippingFilter:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             AnomalyClippingFilter(CumulativeAverageFilter(1), lower=1.0, upper=0.0)
-
-
-class TestBatchedDefaultRateFilter:
-    """Every row of the stacked filter matches its standalone twin bitwise."""
-
-    @staticmethod
-    def _random_streams(num_trials, num_users, num_steps, seed):
-        rng = np.random.default_rng(seed)
-        decisions = rng.integers(0, 2, size=(num_steps, num_trials, num_users)).astype(float)
-        raw = rng.integers(0, 2, size=(num_steps, num_trials, num_users)).astype(float)
-        actions = raw * decisions  # no repayment without an offer
-        return decisions, actions
-
-    def test_rows_match_standalone_filters(self):
-        from repro.core.filters import BatchedDefaultRateFilter
-
-        trials, users, steps = 4, 50, 6
-        decisions, actions = self._random_streams(trials, users, steps, 3)
-        batched = BatchedDefaultRateFilter(trials, users, prior_rate=0.25)
-        singles = [DefaultRateFilter(users, prior_rate=0.25) for _ in range(trials)]
-        for k in range(steps):
-            batched.update(decisions[k], actions[k])
-            rates = batched.user_rates()
-            portfolios = batched.portfolio_rates()
-            for t in range(trials):
-                observation = singles[t].update(decisions[k, t], actions[k, t], k)
-                np.testing.assert_array_equal(
-                    rates[t], observation["user_default_rates"]
-                )
-                assert portfolios[t] == observation["portfolio_rate"]
-        assert batched.steps_recorded == steps
-
-    def test_tracker_for_trial_round_trip(self):
-        from repro.core.filters import BatchedDefaultRateFilter
-
-        trials, users, steps = 3, 20, 4
-        decisions, actions = self._random_streams(trials, users, steps, 9)
-        batched = BatchedDefaultRateFilter(trials, users)
-        for k in range(steps):
-            batched.update(decisions[k], actions[k])
-        for t in range(trials):
-            tracker = batched.tracker_for_trial(t)
-            assert tracker.steps_recorded == steps
-            np.testing.assert_array_equal(tracker.user_rates(), batched.user_rates()[t])
-        with pytest.raises(ValueError):
-            batched.tracker_for_trial(trials)
-
-    def test_validation(self):
-        from repro.core.filters import BatchedDefaultRateFilter
-
-        with pytest.raises(ValueError):
-            BatchedDefaultRateFilter(0, 5)
-        with pytest.raises(ValueError):
-            BatchedDefaultRateFilter(2, 0)
-        with pytest.raises(ValueError):
-            BatchedDefaultRateFilter(2, 5, prior_rate=1.5)
-        batched = BatchedDefaultRateFilter(2, 5)
-        with pytest.raises(ValueError):
-            batched.update(np.ones((2, 4)), np.ones((2, 4)))

@@ -112,97 +112,3 @@ class TestDerivedSeries:
     def test_approval_rates(self):
         history = make_history()
         np.testing.assert_allclose(history.approval_rates(), [1.0, 0.5, 1.0])
-
-
-class TestRecordStepPrecomputed:
-    """The trusted fast ingest stores exactly what the plain path computes."""
-
-    @staticmethod
-    def _streams(users, steps, seed):
-        rng = np.random.default_rng(seed)
-        decisions = rng.integers(0, 2, size=(steps, users)).astype(float)
-        actions = rng.integers(0, 2, size=(steps, users)).astype(float) * decisions
-        incomes = rng.uniform(5.0, 100.0, size=(steps, users))
-        return decisions, actions, incomes
-
-    def _build_pair(self, users=30, steps=6, seed=17, precompute_until=None):
-        from repro.core.history import running_default_rates_from_cums
-
-        decisions, actions, incomes = self._streams(users, steps, seed)
-        plain = SimulationHistory()
-        fast = SimulationHistory()
-        offers_cum = np.zeros(users)
-        repayments_cum = np.zeros(users)
-        actions_cum = np.zeros(users)
-        cutover = steps if precompute_until is None else precompute_until
-        for k in range(steps):
-            observation = {"portfolio_rate": float(k) / steps}
-            plain.record_step(
-                k, {"income": incomes[k]}, decisions[k], actions[k], observation
-            )
-            offers_cum += decisions[k]
-            repayments_cum += actions[k] * decisions[k]
-            actions_cum += actions[k]
-            if k < cutover:
-                fast.record_step_precomputed(
-                    k,
-                    {"income": incomes[k]},
-                    decisions[k],
-                    actions[k],
-                    observation,
-                    running_rates=running_default_rates_from_cums(
-                        offers_cum, repayments_cum
-                    ),
-                    running_actions=actions_cum / float(k + 1),
-                    approval=float(np.mean(decisions[k])),
-                )
-            else:
-                fast.record_step(
-                    k, {"income": incomes[k]}, decisions[k], actions[k], observation
-                )
-        return plain, fast
-
-    def _assert_identical(self, plain, fast):
-        np.testing.assert_array_equal(plain.decisions_matrix(), fast.decisions_matrix())
-        np.testing.assert_array_equal(plain.actions_matrix(), fast.actions_matrix())
-        np.testing.assert_array_equal(
-            plain.public_feature_matrix("income"), fast.public_feature_matrix("income")
-        )
-        np.testing.assert_array_equal(
-            plain.observation_series("portfolio_rate"),
-            fast.observation_series("portfolio_rate"),
-        )
-        np.testing.assert_array_equal(
-            plain.running_default_rates(), fast.running_default_rates()
-        )
-        np.testing.assert_array_equal(
-            plain.running_action_averages(), fast.running_action_averages()
-        )
-        np.testing.assert_array_equal(plain.approval_rates(), fast.approval_rates())
-
-    def test_matches_plain_ingest_bitwise(self):
-        plain, fast = self._build_pair()
-        self._assert_identical(plain, fast)
-        np.testing.assert_array_equal(
-            fast.running_default_rates(), fast.recompute_running_default_rates()
-        )
-
-    def test_mixing_with_plain_record_step_rebuilds_cums(self):
-        # Three precomputed steps, then plain ingest: the cums rebuild must
-        # be exact so the later incremental rows stay bit-identical.
-        plain, fast = self._build_pair(steps=8, precompute_until=3)
-        self._assert_identical(plain, fast)
-
-    def test_validation_rejects_misshapen_rows(self):
-        history = SimulationHistory()
-        with pytest.raises(ValueError):
-            history.record_step_precomputed(
-                0,
-                {},
-                np.ones(4),
-                np.ones(4),
-                {},
-                running_rates=np.ones(3),
-                running_actions=np.ones(4),
-                approval=1.0,
-            )

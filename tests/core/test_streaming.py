@@ -254,118 +254,3 @@ class TestSequentialSumHelper:
 
     def test_single_element(self):
         assert sequential_sum(np.array([0.3])) == 0.3
-
-
-class TestBatchedStreamingAggregator:
-    """Every trial slice of the lockstep aggregator matches its standalone twin."""
-
-    @staticmethod
-    def _groups(num_users, seed, parts=3):
-        rng = np.random.default_rng(seed)
-        assignment = rng.integers(0, parts, size=num_users)
-        return {f"g{j}": np.flatnonzero(assignment == j) for j in range(parts)}
-
-    def _run_pair(self, trials=3, users=40, steps=7, seed=21):
-        from repro.core.streaming import BatchedStreamingAggregator
-
-        rng = np.random.default_rng(seed)
-        groups = [self._groups(users, seed + t) for t in range(trials)]
-        batched = BatchedStreamingAggregator(trials, users, groups, prior_rate=0.0)
-        singles = [
-            StreamingAggregator(users, groups=groups[t]) for t in range(trials)
-        ]
-        for _ in range(steps):
-            decisions = rng.integers(0, 2, size=(trials, users)).astype(float)
-            actions = rng.integers(0, 2, size=(trials, users)).astype(float) * decisions
-            batched.update(decisions, actions)
-            for t in range(trials):
-                singles[t].update(decisions[t], actions[t])
-        return batched, singles
-
-    def test_every_series_matches_standalone(self):
-        batched, singles = self._run_pair()
-        for t, single in enumerate(singles):
-            stacked = batched.aggregator(t)
-            np.testing.assert_array_equal(
-                stacked.approval_rate_series(), single.approval_rate_series()
-            )
-            np.testing.assert_array_equal(
-                stacked.portfolio_rate_series(), single.portfolio_rate_series()
-            )
-            np.testing.assert_array_equal(
-                stacked.rate_sum_series(), single.rate_sum_series()
-            )
-            np.testing.assert_array_equal(
-                stacked.rate_sumsq_series(), single.rate_sumsq_series()
-            )
-            np.testing.assert_array_equal(
-                stacked.rate_min_series(), single.rate_min_series()
-            )
-            np.testing.assert_array_equal(
-                stacked.rate_max_series(), single.rate_max_series()
-            )
-            np.testing.assert_array_equal(
-                stacked.rate_histogram_series(), single.rate_histogram_series()
-            )
-            np.testing.assert_array_equal(
-                stacked.rate_low_count_series(), single.rate_low_count_series()
-            )
-            for key, series in single.group_default_rate_series().items():
-                np.testing.assert_array_equal(
-                    stacked.group_default_rate_series()[key], series
-                )
-            for key, series in single.group_action_average_series().items():
-                np.testing.assert_array_equal(
-                    stacked.group_action_average_series()[key], series
-                )
-            for key, series in single.group_approval_series().items():
-                np.testing.assert_array_equal(
-                    stacked.group_approval_series()[key], series
-                )
-
-    def test_extracted_aggregator_is_live(self):
-        # The per-trial snapshot must keep aggregating like its twin.
-        batched, singles = self._run_pair(trials=2, users=20, steps=3, seed=5)
-        stacked = batched.aggregator(0)
-        extra_decisions = np.ones(20)
-        extra_actions = np.zeros(20)
-        stacked.update(extra_decisions, extra_actions)
-        singles[0].update(extra_decisions, extra_actions)
-        np.testing.assert_array_equal(
-            stacked.portfolio_rate_series(), singles[0].portfolio_rate_series()
-        )
-
-    def test_from_aggregator_history_surface(self):
-        batched, singles = self._run_pair(trials=2, users=20, steps=4, seed=8)
-        history = AggregateHistory.from_aggregator(batched.aggregator(1))
-        assert history.num_steps == 4
-        assert history.num_users == 20
-        np.testing.assert_array_equal(
-            history.approval_rates(), singles[1].approval_rate_series()
-        )
-        with pytest.raises(FullHistoryRequiredError):
-            history.decisions_matrix()
-        # Further ingest continues the wrapped aggregator.
-        history.record_step(4, {}, np.ones(20), np.zeros(20), {})
-        assert history.num_steps == 5
-
-    def test_growth_beyond_initial_capacity(self):
-        batched, singles = self._run_pair(trials=2, users=10, steps=40, seed=13)
-        for t, single in enumerate(singles):
-            np.testing.assert_array_equal(
-                batched.aggregator(t).portfolio_rate_series(),
-                single.portfolio_rate_series(),
-            )
-
-    def test_validation(self):
-        from repro.core.streaming import BatchedStreamingAggregator
-
-        with pytest.raises(ValueError):
-            BatchedStreamingAggregator(0, 5, [])
-        with pytest.raises(ValueError):
-            BatchedStreamingAggregator(2, 5, [None])  # one partition per trial
-        batched = BatchedStreamingAggregator(2, 5, [None, None])
-        with pytest.raises(ValueError):
-            batched.update(np.ones((2, 4)), np.ones((2, 4)))
-        with pytest.raises(ValueError):
-            batched.trial_state(2)

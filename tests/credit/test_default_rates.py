@@ -88,10 +88,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             tracker.record([1, 1], [1, 1])
 
-    def test_rejects_non_binary_inputs(self):
+    @pytest.mark.parametrize("value", [2.0, 0.5, float("nan")])
+    def test_rejects_non_binary_inputs(self, value):
         tracker = DefaultRateTracker(2)
-        with pytest.raises(ValueError):
-            tracker.record([1, 2], [1, 0])
+        with pytest.raises(ValueError, match="must be 0/1"):
+            tracker.record([1.0, value], [1.0, 0.0])
+        with pytest.raises(ValueError, match="must be 0/1"):
+            tracker.record([1.0, 1.0], [1.0, value])
+        assert tracker.steps_recorded == 0
+
+    def test_accepts_negative_zero(self):
+        tracker = DefaultRateTracker(2)
+        tracker.record([1.0, -0.0], [-0.0, -0.0])
+        np.testing.assert_array_equal(tracker.offers, [1.0, 0.0])
+        np.testing.assert_array_equal(tracker.user_rates(), [1.0, 0.0])
 
     def test_rejects_repayment_without_offer(self):
         tracker = DefaultRateTracker(2)

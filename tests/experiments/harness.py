@@ -34,6 +34,7 @@ import os
 
 import numpy as np
 
+from repro.core.streaming import AggregateHistory
 from repro.data.census import Race
 from repro.experiments.config import CaseStudyConfig
 
@@ -242,8 +243,29 @@ def assert_full_trials_identical(serial_trial, other_trial) -> None:
     assert np.array_equal(serial_trial.races, other_trial.races)
 
 
+#: The aggregate-only accessors two aggregate-mode runs must agree on:
+#: history-level series, then the underlying aggregator's ADR_i moments.
+AGGREGATE_HISTORY_SERIES = (
+    "portfolio_rate_series",
+    "rate_histogram_series",
+    "rate_low_count_series",
+)
+AGGREGATOR_SERIES = (
+    "rate_sum_series",
+    "rate_sumsq_series",
+    "rate_min_series",
+    "rate_max_series",
+)
+
+
 def assert_group_series_identical(serial_trial, other_trial) -> None:
-    """Assert the group-level series agree bit for bit (either history mode)."""
+    """Assert the group-level series agree bit for bit (either history mode).
+
+    When both trials recorded in aggregate mode, every aggregate-only
+    series (portfolio rate, ``ADR_i`` histogram and low-rate count, and
+    the aggregator's per-step ``ADR_i`` sum, sum of squares, min and max)
+    must agree as well.
+    """
     for race in Race:
         assert np.array_equal(
             serial_trial.group_default_rates[race],
@@ -260,3 +282,18 @@ def assert_group_series_identical(serial_trial, other_trial) -> None:
     assert np.array_equal(
         serial_trial.approval_rate_series(), other_trial.approval_rate_series()
     )
+    serial_history, other_history = serial_trial.history, other_trial.history
+    if not (
+        isinstance(serial_history, AggregateHistory)
+        and isinstance(other_history, AggregateHistory)
+    ):
+        return
+    for name in AGGREGATE_HISTORY_SERIES:
+        assert np.array_equal(
+            getattr(serial_history, name)(), getattr(other_history, name)()
+        ), name
+    for name in AGGREGATOR_SERIES:
+        assert np.array_equal(
+            getattr(serial_history.aggregator, name)(),
+            getattr(other_history.aggregator, name)(),
+        ), name

@@ -54,7 +54,7 @@ class TestBatchedEngineGoldens:
         assert experiment_digests(result) == ENGINE_GOLDEN
 
     def test_batched_incremental_metrics_match_recompute(self, small_config):
-        # The precomputed-statistics ingest rows must satisfy the history's
+        # The histories the batched engine records into must satisfy their
         # own cross-check recomputations bit for bit.
         result = run_experiment(small_config, execution="batch")
         for trial in result.trials:
@@ -98,19 +98,8 @@ class TestBatchedMatchesSerialAcrossModes:
             execution="batch",
         )
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
+            # Aggregate on both sides: also every aggregate-only series.
             _assert_group_series_identical(serial_trial, batched_trial)
-            assert np.array_equal(
-                serial_trial.history.portfolio_rate_series(),
-                batched_trial.history.portfolio_rate_series(),
-            )
-            assert np.array_equal(
-                serial_trial.history.rate_histogram_series(),
-                batched_trial.history.rate_histogram_series(),
-            )
-            assert np.array_equal(
-                serial_trial.history.rate_low_count_series(),
-                batched_trial.history.rate_low_count_series(),
-            )
             with pytest.raises(FullHistoryRequiredError):
                 batched_trial.history.decisions_matrix()
 
@@ -202,22 +191,3 @@ class TestBatchedRunnerSurface:
     def test_invalid_history_mode_is_rejected(self, small_config):
         with pytest.raises(ValueError):
             run_experiment(small_config, execution="batch", history_mode="bogus")
-
-    def test_non_binary_decisions_are_rejected_loudly(self):
-        # The serial filter truncates fractional decisions before counting
-        # offers; rather than silently diverging from that corner, the
-        # batched engine refuses non-binary policies outright.
-        class FractionalSystem:
-            def decide(self, public_features, observation, k):
-                return np.full(public_features["income"].shape[0], 0.7)
-
-            def update(self, public_features, decisions, actions, observation, k):
-                return None
-
-        config = CaseStudyConfig(num_users=40, num_trials=2)
-        with pytest.raises(ValueError, match="0/1 decisions"):
-            run_experiment(
-                config,
-                policy_factory=lambda cfg, population: FractionalSystem(),
-                execution="batch",
-            )

@@ -19,12 +19,15 @@ This suite is the consolidated harness behind that claim:
   route through the same planner;
 * forbidden combinations fail at configuration time with actionable
   errors, not at step 900 of a trial;
+* a policy returning non-0/1 decisions fails with the filter's own
+  error in every layout;
 * ``execution`` is the only layout knob: no entry point keeps a legacy
   layout switch beside it.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import fields, replace
 
@@ -49,6 +52,24 @@ from tests.experiments.harness import (
 )
 
 EXECUTIONS = execution_modes()
+
+
+class _ConstantSystem:
+    """An AI system returning one fixed decision value for every user."""
+
+    def __init__(self, value: float) -> None:
+        self._value = value
+
+    def decide(self, public_features, observation, k):
+        return np.full(public_features["income"].shape[0], self._value)
+
+    def update(self, public_features, decisions, actions, observation, k):
+        return None
+
+
+def _constant_policy(value, config, population):
+    """Module-level (picklable) policy factory, so pooled layouts use workers."""
+    return _ConstantSystem(value)
 
 
 class TestExecutionModesMatchGoldens:
@@ -175,3 +196,21 @@ class TestForbiddenCombosFailAtConfigTime:
     def test_run_trial_rejects_batch_mode(self, golden_config):
         with pytest.raises(ValueError, match="run_experiment"):
             run_trial(golden_config, trial_index=0, execution="batch")
+
+
+class TestNonBinaryDecisions:
+    """Every layout rejects a non-0/1 policy with the filter's own error."""
+
+    # The pooled layouts first retry, then fall back to the serial path,
+    # warning on each step of the way; the verdict must not change.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [0.7, 1.5])
+    @pytest.mark.parametrize("execution", ["serial", "batch", "pool", "shard"])
+    def test_rejected_in_every_mode(self, execution, value):
+        config = CaseStudyConfig(num_users=40, num_trials=2)
+        with pytest.raises(ValueError, match="must be 0/1"):
+            run_experiment(
+                config,
+                policy_factory=functools.partial(_constant_policy, value),
+                execution=execution,
+            )
