@@ -37,7 +37,10 @@ nothing about the random schedule or the per-trial arithmetic changes:
   ``random(3 * shard_size)`` call; numpy generators buffer nothing between
   ``random`` calls, so the split block equals the serial path's separate
   draws double for double (pinned by the income-sampler regression tests
-  and the batch-equivalence suite);
+  and the batch-equivalence suite).  Rather than construct each of those
+  generators, it reseeds one reused generator with the identical PCG64
+  states, hashed for the whole step at once by
+  :func:`~repro.utils.rng.pcg64_states`;
 * the fused phases are elementwise, so evaluating them on a stacked
   ``(trials, users)`` block produces the identical bits row by row;
 * the filter, the recording and each trial's AI system ``decide``/
@@ -85,7 +88,7 @@ from repro.experiments.config import CaseStudyConfig
 from repro.scoring.cutoff import CutoffPolicy
 from repro.scoring.features import FeatureBuilder, clipped_default_rates
 from repro.scoring.suffstats import CompressedDesign, pack_rows
-from repro.utils.rng import derive_seed, shard_seed, step_generator
+from repro.utils.rng import derive_seed, pcg64_states, shard_seed, step_seed
 
 __all__ = ["BatchedTrialRunner", "run_trials_batched"]
 
@@ -170,6 +173,7 @@ class BatchedTrialRunner:
             [shard_seed(base, shard) for shard in range(self._plan.num_shards)]
             for base in self._trial_seeds
         ]
+        self._draw_generator = np.random.Generator(np.random.PCG64(0))
         self._build_draw_layout()
         self._fast_stack = self._resolve_fast_stack()
 
@@ -304,11 +308,21 @@ class BatchedTrialRunner:
         """
         sampler = self._sampler
         bounds = self._plan.bounds
+        # Each block's stream is step_generator(seed, k)'s: one reused
+        # generator is reseeded with the PCG64 states of all the step's
+        # (trial, shard) seeds, hashed in one bulk pass.
+        states = iter(
+            pcg64_states(
+                [step_seed(seed, k) for seeds in self._shard_seeds for seed in seeds]
+            )
+        )
+        generator = self._draw_generator
+        bit_generator = generator.bit_generator
         for trial in range(len(self._trial_seeds)):
             row = buffer[trial]
-            seeds = self._shard_seeds[trial]
-            for shard, (lo, hi) in enumerate(bounds):
-                step_generator(seeds[shard], k).random(out=row[3 * lo : 3 * hi])
+            for lo, hi in bounds:
+                bit_generator.state = next(states)
+                generator.random(out=row[3 * lo : 3 * hi])
         flat = buffer.reshape(-1)
         income_slots = incomes.reshape(-1)
         for race, bracket_idx, width_idx, target_idx in self._race_layout:

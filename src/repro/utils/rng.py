@@ -16,11 +16,13 @@ import numpy as np
 
 __all__ = [
     "derive_seed",
+    "pcg64_states",
     "spawn_generator",
     "spawn_generators",
     "shard_seed",
     "shard_step_generator",
     "step_generator",
+    "step_seed",
 ]
 
 _MAX_SEED = 2**63 - 1
@@ -95,9 +97,94 @@ def step_generator(shard_seed_value: int, step: int) -> np.random.Generator:
     argument dispatch — the identical stream, measurably cheaper in a loop
     that builds one generator per ``(trial, shard, step)``.
     """
-    return np.random.Generator(
-        np.random.PCG64(derive_seed(shard_seed_value, "step", step))
+    return np.random.Generator(np.random.PCG64(step_seed(shard_seed_value, step)))
+
+
+def step_seed(shard_seed_value: int, step: int) -> int:
+    """Return the seed of :func:`step_generator`'s ``PCG64`` for ``step``."""
+    return derive_seed(shard_seed_value, "step", step)
+
+
+# numpy's SeedSequence hash (pool size 4) and PCG64 LCG constants; NEP 19
+# freezes both, since they define every seeded PCG64 stream.
+_SEED_INIT_A = 0x43B0D7E5
+_SEED_MULT_A = 0x931E8875
+_SEED_INIT_B = 0x8B51F9DD
+_SEED_MULT_B = 0x58F38DED
+_SEED_MIX_L = np.uint32(0xCA01F9DD)
+_SEED_MIX_R = np.uint32(0x4973F715)
+_SEED_SHIFT = np.uint32(16)
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_32 = 0xFFFFFFFF
+_MASK_128 = (1 << 128) - 1
+
+
+def pcg64_states(seeds: Sequence[int]) -> list[dict]:
+    """Return ``np.random.PCG64(seed).state`` for every seed, in bulk.
+
+    Assigning a returned state to a ``PCG64``'s ``state`` makes it draw
+    exactly the stream of a fresh ``PCG64(seed)``.  Constructing one costs
+    ~10 µs, nearly all of it the ``SeedSequence`` hash; a loop that needs a
+    fresh generator per ``(trial, shard, step)`` instead runs that hash
+    here as uint32 arithmetic over all its seeds at once and reseeds one
+    reused generator.  ``seeds`` must lie in ``[0, 2**64)`` —
+    :func:`derive_seed`'s outputs do.  Pinned against numpy itself in
+    ``tests/utils/test_rng.py``.
+    """
+    values = np.asarray(seeds, dtype=np.uint64)
+    # The seed's little-endian uint32 words; a pool slot beyond the
+    # entropy hashes a zero word, so padding to the pool size is exact.
+    words = [
+        (values & np.uint64(_MASK_32)).astype(np.uint32),
+        (values >> np.uint64(32)).astype(np.uint32),
+        np.zeros(values.shape, dtype=np.uint32),
+        np.zeros(values.shape, dtype=np.uint32),
+    ]
+    hash_const = _SEED_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SEED_MULT_A) & _MASK_32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _SEED_SHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _SEED_MIX_L * x - _SEED_MIX_R * y
+        return result ^ (result >> _SEED_SHIFT)
+
+    pool = [hashmix(word) for word in words]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    # generate_state(4, np.uint64): eight output words cycling the pool.
+    output_const = _SEED_INIT_B
+    halves = []
+    for index in range(8):
+        value = pool[index % 4] ^ np.uint32(output_const)
+        output_const = (output_const * _SEED_MULT_B) & _MASK_32
+        value = value * np.uint32(output_const)
+        halves.append((value ^ (value >> _SEED_SHIFT)).astype(np.uint64))
+    state_high, state_low, seq_high, seq_low = (
+        (halves[2 * j] | (halves[2 * j + 1] << np.uint64(32))).tolist()
+        for j in range(4)
     )
+    states = []
+    for high, low, inc_high, inc_low in zip(state_high, state_low, seq_high, seq_low):
+        # pcg64_set_seed: state 0, one LCG step, add the seed, one more step.
+        inc = ((((inc_high << 64) | inc_low) << 1) | 1) & _MASK_128
+        state = (inc + ((high << 64) | low)) & _MASK_128
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK_128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
 
 
 def shard_step_generator(

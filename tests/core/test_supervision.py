@@ -61,7 +61,13 @@ class TestKillExecutor:
         future = executor.submit(int, "7")
         assert future.result(timeout=30) == 7
         processes = list(getattr(executor, "_processes", {}).values())
+        manager = executor._executor_manager_thread
         kill_executor(executor)
+        # The pool's manager thread reaps the workers too; let it finish,
+        # or its waitpid can race the one behind is_alive() below and leave
+        # a dead worker's exit status unrecorded.
+        manager.join(timeout=30)
+        assert not manager.is_alive()
         for process in processes:
             process.join(timeout=30)
             assert not process.is_alive()

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, spawn_generator, spawn_generators
+from repro.utils.rng import (
+    derive_seed,
+    pcg64_states,
+    spawn_generator,
+    spawn_generators,
+    step_generator,
+    step_seed,
+)
 
 
 class TestDeriveSeed:
@@ -57,3 +64,26 @@ class TestSpawnGenerators:
         first_run = [g.random() for g in spawn_generators(7, range(3))]
         second_run = [g.random() for g in spawn_generators(7, range(3))]
         assert first_run == second_run
+
+
+class TestPCG64States:
+    def test_matches_numpy_seeding(self):
+        # Word-boundary seeds (one vs two uint32 entropy words) and the
+        # extremes of the accepted range, plus a spread of typical seeds.
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1]
+        seeds += [derive_seed(11, "seed", index) for index in range(200)]
+        for seed, state in zip(seeds, pcg64_states(seeds)):
+            assert state == np.random.PCG64(seed).state
+
+    def test_reseeded_generator_replays_step_generator(self):
+        seeds = [derive_seed(3, "shard", shard) for shard in range(4)]
+        generator = np.random.Generator(np.random.PCG64(0))
+        states = pcg64_states([step_seed(seed, 5) for seed in seeds])
+        for seed, state in zip(seeds, states):
+            generator.bit_generator.state = state
+            np.testing.assert_array_equal(
+                generator.random(7), step_generator(seed, 5).random(7)
+            )
+
+    def test_empty_input(self):
+        assert pcg64_states([]) == []
