@@ -239,12 +239,17 @@ def test_bench_trial_batched():
     (many seeded trials, fixed per-step dispatch amortised across the
     trial axis, one core).  Results are bit-identical by construction
     (pinned in ``tests/experiments/test_batch_equivalence.py``), so this
-    is a pure wall-clock comparison; both sides are measured as a min of
-    three runs to damp scheduler noise.  The full-scale ratios (including
-    the 8 x 20k x 20 workload, where per-trial C work dominates and the
-    ratio is smaller) are recorded in ``BENCH_core.json`` under
+    is a pure wall-clock comparison.  On a shared host either side alone
+    can swing by 2x between runs, so after one warm-up of each side the
+    two are timed back to back in alternating order over several rounds,
+    and the floor applies to the median of the per-round ratios: a load
+    burst then skews one pair, not the verdict.  The full-scale ratios
+    (including the 8 x 20k x 20 workload, where per-trial C work dominates
+    and the ratio is smaller) are recorded in ``BENCH_core.json`` under
     ``trial-batched-engine``.
     """
+    import statistics
+
     from repro.experiments.runner import run_experiment
 
     config = CaseStudyConfig(num_users=250, num_trials=32, end_year=2021)
@@ -255,17 +260,23 @@ def test_bench_trial_batched():
     def batched_run():
         return run_experiment(config, retrain_mode="compressed", execution="batch")
 
-    batched_run()  # warm caches (income CDFs, numpy internals)
-    serial_seconds = min(
-        _timed(serial_run) for _ in range(3)
-    )
-    batched_seconds = min(
-        _timed(batched_run) for _ in range(3)
-    )
-    speedup = serial_seconds / max(batched_seconds, 1e-12)
+    # Warm caches (income CDFs, numpy internals) on both sides.
+    serial_run()
+    batched_run()
+    ratios = []
+    for round_index in range(7):
+        if round_index % 2 == 0:
+            serial_seconds = _timed(serial_run)
+            batched_seconds = _timed(batched_run)
+        else:
+            batched_seconds = _timed(batched_run)
+            serial_seconds = _timed(serial_run)
+        ratios.append(serial_seconds / max(batched_seconds, 1e-12))
+    speedup = statistics.median(ratios)
     print(
-        f"\ntrial-batched sweep (32 x 250 x 20, compressed): serial "
-        f"{serial_seconds:.3f}s vs batched {batched_seconds:.3f}s ({speedup:.2f}x)"
+        "\ntrial-batched sweep (32 x 250 x 20, compressed): per-round "
+        f"serial/batched ratios {', '.join(f'{r:.2f}' for r in ratios)} "
+        f"(median {speedup:.2f}x)"
     )
     assert speedup >= 2.0
 

@@ -9,7 +9,7 @@ every later observation.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -19,8 +19,13 @@ from repro.credit.lender import Lender
 __all__ = ["StaticCreditScoringSystem"]
 
 
-class StaticCreditScoringSystem(CreditScoringSystem):
+class StaticCreditScoringSystem:
     """A credit-scoring system that stops retraining after the first fit.
+
+    It wraps a :class:`~repro.core.ai_system.CreditScoringSystem`, decides
+    through it and forwards only the first ``training_rounds`` ``update``
+    calls.  It deliberately does not speak the sufficient-statistics
+    protocol: a count-table refit would bypass the training budget.
 
     Parameters
     ----------
@@ -33,11 +38,21 @@ class StaticCreditScoringSystem(CreditScoringSystem):
     """
 
     def __init__(self, lender: Lender | None = None, training_rounds: int = 1) -> None:
-        super().__init__(lender=lender)
         if training_rounds < 1:
             raise ValueError("training_rounds must be at least 1")
+        self._system = CreditScoringSystem(lender)
         self._training_rounds = int(training_rounds)
         self._updates_done = 0
+
+    @property
+    def lender(self) -> Lender:
+        """Return the wrapped lender."""
+        return self._system.lender
+
+    @property
+    def last_scores(self) -> np.ndarray | None:
+        """Return the scores of the most recent decision round."""
+        return self._system.last_scores
 
     @property
     def training_rounds(self) -> int:
@@ -48,6 +63,15 @@ class StaticCreditScoringSystem(CreditScoringSystem):
     def updates_done(self) -> int:
         """Return how many retraining rounds have actually happened."""
         return self._updates_done
+
+    def decide(
+        self,
+        public_features: Mapping[str, np.ndarray],
+        observation: Mapping[str, np.ndarray | float],
+        k: int,
+    ) -> np.ndarray:
+        """Score and decide with the current (eventually frozen) card."""
+        return self._system.decide(public_features, observation, k)
 
     def update(
         self,
@@ -60,6 +84,18 @@ class StaticCreditScoringSystem(CreditScoringSystem):
         """Retrain only during the first ``training_rounds`` update calls."""
         if self._updates_done >= self._training_rounds:
             return None
-        super().update(public_features, decisions, actions, observation, k)
+        self._system.update(public_features, decisions, actions, observation, k)
         self._updates_done += 1
         return None
+
+    def export_state(self) -> Dict[str, object]:
+        """Return the wrapped system's state plus the spent training budget."""
+        return {
+            "system": self._system.export_state(),
+            "updates_done": self._updates_done,
+        }
+
+    def import_state(self, state: Mapping[str, object]) -> None:
+        """Restore the state captured by :meth:`export_state`."""
+        self._system.import_state(state["system"])
+        self._updates_done = int(state["updates_done"])

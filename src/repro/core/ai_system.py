@@ -14,6 +14,10 @@ Implementations:
   retrained (open-loop baseline).
 * :class:`ConstantDecisionSystem` — approve (or deny) everyone; the purest
   form of equal treatment.
+
+:func:`suffstats_recipe` is the one rule deciding whether a system's
+refit may run from merged count tables instead of its row-level
+``update``; the shard pool and the trial-batched engine both ask it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "CreditScoringSystem",
     "ScorecardDecisionSystem",
     "ConstantDecisionSystem",
+    "suffstats_recipe",
 ]
 
 
@@ -60,6 +65,33 @@ class AISystem(Protocol):
         ...  # pragma: no cover - protocol
 
 
+def suffstats_recipe(ai_system: AISystem) -> Dict[str, object] | None:
+    """Return the system's count-table recipe, or ``None`` to refit by ``update``.
+
+    A system refits from sufficient statistics — tables built from the
+    ``(income code, previous rate, repayment)`` rows of offered users and
+    handed to ``update_from_suffstats(table, k)`` — exactly when its own
+    ``retrain_mode`` is ``"compressed"``, it implements
+    ``update_from_suffstats``, and its ``suffstats_spec`` names both the
+    public ``feature`` carrying the incomes and the ``income_threshold``
+    of the code.  The protocol must mirror what the system's ``update``
+    would do, so it is never forced onto an exact-mode system; and an
+    incomplete recipe is refused here rather than surfacing as a
+    ``KeyError`` mid-trial.  Everything else keeps the row-level
+    ``update``, which is always correct.
+    """
+    if getattr(ai_system, "retrain_mode", "exact") != "compressed":
+        return None
+    if not hasattr(ai_system, "update_from_suffstats"):
+        return None
+    spec = getattr(ai_system, "suffstats_spec", None)
+    if not isinstance(spec, dict) or not (
+        "feature" in spec and "income_threshold" in spec
+    ):
+        return None
+    return spec
+
+
 class CreditScoringSystem:
     """The paper's retraining scorecard lender wrapped as an AI system.
 
@@ -75,8 +107,9 @@ class CreditScoringSystem:
     worker shard needs to compress its slice of the training set into a
     :class:`~repro.scoring.suffstats.CompressedDesign` count table, and
     :meth:`update_from_suffstats` refits centrally from the merged table in
-    O(unique rows).  The orchestrator only uses it when the wrapped lender's
-    ``retrain_mode`` is ``"compressed"``.
+    O(unique rows).  The execution layers only use it when the wrapped
+    lender's ``retrain_mode`` is ``"compressed"`` (see
+    :func:`suffstats_recipe`).
     """
 
     def __init__(self, lender: Lender | None = None) -> None:

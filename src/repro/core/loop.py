@@ -40,12 +40,13 @@ trajectories:
   :class:`~repro.core.filters.DefaultRateFilter` pieces (integer count
   state, so the merged observation is exactly the unsharded filter's); at
   the end of the run the worker filters are folded back into the loop's
-  filter with the exact ``DefaultRateFilter.merge``.  Under
-  sufficient-statistics retraining (``retrain_mode="compressed"`` with a
-  protocol-speaking AI system) even the per-year refit sheds its O(users)
-  central scan: workers compress their training rows into
-  :class:`~repro.scoring.suffstats.CompressedDesign` count tables, which
-  merge by exact integer addition before one O(unique rows) central fit;
+  filter with the exact ``DefaultRateFilter.merge``.  When the AI system
+  speaks the sufficient-statistics protocol (see
+  :func:`~repro.core.ai_system.suffstats_recipe`) even the per-year refit
+  sheds its O(users) central scan: workers compress their training rows
+  into :class:`~repro.scoring.suffstats.CompressedDesign` count tables,
+  which merge by exact integer addition before one O(unique rows)
+  central fit;
 * chunked runs (``run`` called repeatedly with the growing history).
 
 Recording stays in the orchestrator in every mode, so the cross-mode
@@ -73,7 +74,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.ai_system import AISystem
+from repro.core.ai_system import AISystem, suffstats_recipe
 from repro.core.checkpoint import (
     CheckpointError,
     CheckpointSpec,
@@ -100,7 +101,6 @@ from repro.utils.rng import shard_seed, shard_step_generator, spawn_generator, s
 __all__ = ["ClosedLoop"]
 
 _MAX_SEED = 2**63 - 1
-_RETRAIN_MODES = ("exact", "compressed")
 
 
 def _resolve_population_plan(population) -> Tuple[ShardPlan, bool]:
@@ -563,7 +563,6 @@ class ClosedLoop:
         groups: Mapping[object, np.ndarray] | None = None,
         num_shards: int = 1,
         shard_parallel: bool = False,
-        retrain_mode: str | None = None,
         checkpoint: CheckpointSpec | None = None,
         supervisor: SupervisorPolicy | None = None,
     ) -> SimulationHistory | AggregateHistory:
@@ -604,29 +603,17 @@ class ClosedLoop:
             process per worker).  Requires a fresh run (no existing
             history), a shard-aware picklable population and a fresh
             :class:`~repro.core.filters.DefaultRateFilter`; anything else
-            falls back to the serial path, which is bit-identical.
-        retrain_mode:
-            Retraining protocol of the *pooled* path: with
-            ``"compressed"`` and an AI system speaking the
-            sufficient-statistics protocol (``update_from_suffstats`` +
-            ``suffstats_spec``, e.g.
+            falls back to the serial path, which is bit-identical.  The
+            pool refits the AI system the way
+            :func:`~repro.core.ai_system.suffstats_recipe` says: from the
+            workers' count tables, merged by exact integer addition, when
+            the system speaks the sufficient-statistics protocol (e.g.
             :class:`~repro.core.ai_system.CreditScoringSystem` wrapping a
-            ``retrain_mode="compressed"`` lender), each worker compresses
-            its shard's training rows into a
-            :class:`~repro.scoring.suffstats.CompressedDesign` count table
-            and the orchestrator merges them by exact integer addition
-            before one tiny O(unique rows) central fit — instead of the
-            O(users) central ``update``.  ``None`` (default) and
-            ``"compressed"`` engage the protocol exactly when the AI
-            system's own ``retrain_mode`` is ``"compressed"`` (it must
-            mirror what the system's ``update`` would do, so it cannot be
-            forced onto an exact-mode system); ``"exact"`` disables the
-            count-table transport, routing the full per-user arrays to the
-            central ``update`` hook — which still applies the AI system's
-            *own* refit strategy, so a compressed-mode lender compresses
-            centrally either way (the knob selects the transport, not the
-            algorithm).  The serial path is unaffected for the same
-            reason.
+            ``retrain_mode="compressed"`` lender), else through the
+            central row-level ``update``.  Either way the refit equals the
+            serial one bit for bit: the merged tables equal the
+            whole-population table the system's own ``update`` would
+            build.
         checkpoint:
             Optional :class:`~repro.core.checkpoint.CheckpointSpec`: at
             every ``checkpoint.every``-th step boundary the loop's state
@@ -656,11 +643,6 @@ class ClosedLoop:
             )
         if num_shards < 1:
             raise ValueError("num_shards must be positive")
-        if retrain_mode is not None and retrain_mode not in _RETRAIN_MODES:
-            raise ValueError(
-                f'retrain_mode must be one of {_RETRAIN_MODES} (or None), '
-                f"got {retrain_mode!r}"
-            )
         continuing = history is not None and history.num_steps > 0
         self._resolve_stream_base(rng, continuing=continuing)
         if history is not None:
@@ -682,7 +664,6 @@ class ClosedLoop:
                 num_steps,
                 record_book,
                 num_shards,
-                retrain_mode,
                 checkpoint=checkpoint,
                 supervisor=supervisor,
             )
@@ -907,38 +888,6 @@ class ClosedLoop:
             stacklevel=4,
         )
 
-    def _resolve_suffstats_spec(
-        self, retrain_mode: str | None
-    ) -> Dict[str, object] | None:
-        """Return the worker-side compression recipe, or ``None`` for exact.
-
-        Sufficient-statistics retraining is used when the resolved mode is
-        ``"compressed"`` (explicitly, or auto-detected from the AI system's
-        ``retrain_mode`` attribute), retraining is on, and the AI system
-        implements the protocol.  Everything else keeps the row-level
-        central ``update`` — which is always correct, just O(users).
-        """
-        if not self._retrain:
-            return None
-        if retrain_mode == "exact":
-            return None  # explicit opt-out of the suffstats protocol
-        if getattr(self._ai_system, "retrain_mode", "exact") != "compressed":
-            # The protocol must mirror what the AI system's own `update`
-            # would do, or the pooled and serial paths would diverge — so
-            # it cannot be forced onto an exact-mode system.
-            return None
-        if not hasattr(self._ai_system, "update_from_suffstats"):
-            return None
-        spec = getattr(self._ai_system, "suffstats_spec", None)
-        if not isinstance(spec, dict) or not (
-            "feature" in spec and "income_threshold" in spec
-        ):
-            # An incomplete recipe would only surface as a KeyError inside
-            # a worker process mid-trial; reject it here so the run takes
-            # the row-level central update instead.
-            return None
-        return spec
-
     def _build_arena(self, num_workers: int) -> SharedMemoryArena | None:
         """Allocate the pool's shared arena, or ``None`` for pickling.
 
@@ -1004,7 +953,6 @@ class ClosedLoop:
         num_steps: int,
         record_book: SimulationHistory | AggregateHistory,
         num_shards: int,
-        retrain_mode: str | None = None,
         checkpoint: CheckpointSpec | None = None,
         supervisor: SupervisorPolicy | None = None,
     ) -> SimulationHistory | AggregateHistory | None:
@@ -1042,7 +990,7 @@ class ClosedLoop:
         # exception from the init futures inside _ShardWorkerPool, which
         # the except below already turns into the serial fallback —
         # probing would serialize every population slice a second time.
-        suffstats_spec = self._resolve_suffstats_spec(retrain_mode)
+        suffstats_spec = suffstats_recipe(self._ai_system) if self._retrain else None
         try:
             pool = self._start_pool(shards, prior_rate, suffstats_spec, policy)
         except Exception as error:

@@ -208,6 +208,11 @@ class CreditPopulation:
         return self._terms
 
     @property
+    def repayment_model(self) -> GaussianRepaymentModel:
+        """Return the model mapping affordability to repayment actions."""
+        return self._repayment_model
+
+    @property
     def sampler(self) -> IncomeSampler:
         """Return the income sampler (and its per-(year, race) CDF cache).
 

@@ -31,9 +31,10 @@ serial loop when the inputs cannot be pickled (e.g. a lambda policy
 factory); ``"batch"`` runs every trial in lockstep through the
 trial-batched tensor engine (:mod:`repro.experiments.batch`), which stacks
 the per-trial populations into ``(trials, users)`` columns and fuses the
-deterministic per-step math across the trial axis while each trial keeps
-its own derived random streams and refits; ``"shard"`` splits each
-trial's users over a shard pool (:meth:`repro.core.loop.ClosedLoop.run`).
+population side of each step across the trial axis while each trial
+keeps its own derived random streams, AI system, filter and history;
+``"shard"`` splits each trial's users over a shard pool
+(:meth:`repro.core.loop.ClosedLoop.run`).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from repro.credit.mortgage import MortgageTerms
 from repro.credit.repayment import GaussianRepaymentModel
 from repro.data.census import IncomeTable, Race, default_income_table
 from repro.data.synthetic import PopulationSpec, generate_population
-from repro.experiments.batch import run_trials_batched
+from repro.experiments.batch import BatchedTrialRunner, BuiltTrial
 from repro.experiments.config import CaseStudyConfig, validate_checkpoint_settings
 from repro.testing.faults import fire as _fire_fault
 from repro.utils.rng import derive_seed
@@ -571,24 +572,9 @@ def run_trial(
             "run_trial runs a single trial — use run_experiment, or "
             "another execution mode"
         )
-    factory = policy_factory or default_policy_factory
-    trial_seed = derive_seed(config.seed, "trial", trial_index)
-    rng = np.random.default_rng(trial_seed)
-    spec = PopulationSpec(size=config.num_users, race_mix=dict(config.race_mix))
-    synthetic = generate_population(spec, rng)
-    mortgage_terms = terms or MortgageTerms(
-        income_multiple=config.income_multiple,
-        annual_rate=config.annual_rate,
-        living_cost=config.living_cost,
+    ((trial_seed, population, ai_system),) = _build_trials(
+        config, [trial_index], policy_factory, terms, income_table
     )
-    population = CreditPopulation(
-        population=synthetic,
-        income_table=income_table or default_income_table(),
-        terms=mortgage_terms,
-        repayment_model=GaussianRepaymentModel(sensitivity=config.repayment_sensitivity),
-        start_year=config.start_year,
-    )
-    ai_system = factory(config, population)
     loop = ClosedLoop(
         ai_system=ai_system,
         population=population,
@@ -628,11 +614,49 @@ def run_trial(
             groups=population.groups if mode == "aggregate" else None,
             num_shards=plan.num_shards,
             shard_parallel=plan.shard_parallel,
-            retrain_mode=config.retrain_mode,
             checkpoint=spec,
             supervisor=supervisor,
         )
     return _trial_result_from_history(config, history, population)
+
+
+def _build_trials(
+    config: CaseStudyConfig,
+    trial_indices: Sequence[int],
+    policy_factory: PolicyFactory | None,
+    terms: MortgageTerms | None,
+    income_table: IncomeTable | None,
+) -> List[BuiltTrial]:
+    """Build the seed, population and AI system of each listed trial.
+
+    Trial ``t`` generates its users from ``derive_seed(config.seed,
+    "trial", t)`` — also the base of its step streams — and gets its AI
+    system from ``policy_factory`` (default: the paper's lender).  The
+    serial trial and the trial-batched engine both build through here; the
+    immutable terms, income table and repayment model are built once and
+    shared by the listed trials.
+    """
+    factory = policy_factory or default_policy_factory
+    spec = PopulationSpec(size=config.num_users, race_mix=dict(config.race_mix))
+    terms = terms or MortgageTerms(
+        income_multiple=config.income_multiple,
+        annual_rate=config.annual_rate,
+        living_cost=config.living_cost,
+    )
+    income_table = income_table or default_income_table()
+    repayment_model = GaussianRepaymentModel(sensitivity=config.repayment_sensitivity)
+    trials: List[BuiltTrial] = []
+    for trial_index in trial_indices:
+        trial_seed = derive_seed(config.seed, "trial", trial_index)
+        population = CreditPopulation(
+            population=generate_population(spec, np.random.default_rng(trial_seed)),
+            income_table=income_table,
+            terms=terms,
+            repayment_model=repayment_model,
+            start_year=config.start_year,
+        )
+        trials.append((trial_seed, population, factory(config, population)))
+    return trials
 
 
 def _trial_result_from_history(
@@ -982,19 +1006,18 @@ def _run_trials_batched(
     """Run every trial through the trial-batched engine.
 
     ``config`` already carries the merged overrides, exactly as
-    :func:`run_trial` sees it, and the results are assembled by the same
-    call — so a batched trial is the serial trial, bit for bit, minus the
-    per-trial dispatch overhead.
+    :func:`run_trial` sees it, the trials are built by the same builder
+    and the results are assembled by the same call — so a batched trial is
+    the serial trial, bit for bit, minus the per-trial dispatch overhead.
     """
-    outcomes = run_trials_batched(
-        config,
-        policy_factory or default_policy_factory,
-        terms=terms,
-        income_table=income_table,
+    runner = BatchedTrialRunner(
+        _build_trials(
+            config, range(config.num_trials), policy_factory, terms, income_table
+        ),
         history_mode=history_mode,
     )
     trials: List[TrialResult] = []
-    for history, population in outcomes:
+    for history, population in runner.run(config.num_steps):
         trial = _trial_result_from_history(config, history, population)
         moments.update(trial.group_default_rates)
         if keep_trials:

@@ -11,7 +11,7 @@ from repro.baselines import (
     StaticCreditScoringSystem,
     UniformLimitPolicy,
 )
-from repro.core.ai_system import AISystem
+from repro.core.ai_system import AISystem, suffstats_recipe
 from repro.credit.lender import Lender
 from repro.data.census import Race
 
@@ -126,6 +126,24 @@ class TestStaticCreditScoringSystem:
     def test_rejects_zero_training_rounds(self):
         with pytest.raises(ValueError):
             StaticCreditScoringSystem(training_rounds=0)
+
+    def test_exported_state_keeps_the_spent_budget(self):
+        system = StaticCreditScoringSystem(Lender(warm_up_rounds=1), training_rounds=1)
+        incomes, decisions, actions = self._training_batch()
+        observation = observation_for(np.zeros(incomes.size))
+        system.update({"income": incomes}, decisions, actions, observation, 0)
+        restored = StaticCreditScoringSystem(Lender(warm_up_rounds=1))
+        restored.import_state(system.export_state())
+        assert restored.updates_done == 1
+        card = restored.lender.scorecard
+        restored.update({"income": incomes}, decisions, 1.0 - actions, observation, 1)
+        assert restored.lender.scorecard is card
+
+    def test_does_not_claim_the_suffstats_protocol(self):
+        # A count-table refit would bypass the training budget.
+        system = StaticCreditScoringSystem(Lender(retrain_mode="compressed"))
+        assert suffstats_recipe(system) is None
+        assert not hasattr(system, "update_from_suffstats")
 
     def test_satisfies_the_protocol(self):
         assert isinstance(StaticCreditScoringSystem(), AISystem)

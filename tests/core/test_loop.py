@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.ai_system import ConstantDecisionSystem, CreditScoringSystem
+from repro.core.ai_system import (
+    ConstantDecisionSystem,
+    CreditScoringSystem,
+    suffstats_recipe,
+)
 from repro.core.filters import CumulativeAverageFilter, DefaultRateFilter
 from repro.core.history import SimulationHistory
 from repro.core.loop import ClosedLoop
@@ -194,32 +198,21 @@ class TestStreamBaseResolution:
 
 
 class TestSuffstatsProtocolResolution:
-    """The pooled suffstats protocol engages only on a complete, matching spec."""
+    """The suffstats protocol engages only on a complete, matching spec.
 
-    def _loop(self, system) -> ClosedLoop:
-        population = CreditPopulation(
-            population=generate_population(PopulationSpec(size=30), 1)
-        )
-        return ClosedLoop(
-            ai_system=system,
-            population=population,
-            loop_filter=DefaultRateFilter(num_users=30),
-        )
+    ``suffstats_recipe`` is the one rule the shard pool and the
+    trial-batched engine share.
+    """
 
     def test_compressed_credit_system_resolves_a_spec(self):
-        loop = self._loop(CreditScoringSystem(Lender(retrain_mode="compressed")))
-        spec = loop._resolve_suffstats_spec(None)
-        assert spec == {"feature": "income", "income_threshold": 15.0}
+        system = CreditScoringSystem(Lender(retrain_mode="compressed"))
+        assert suffstats_recipe(system) == {
+            "feature": "income",
+            "income_threshold": 15.0,
+        }
 
     def test_exact_system_never_engages_the_protocol(self):
-        loop = self._loop(CreditScoringSystem(Lender()))
-        assert loop._resolve_suffstats_spec(None) is None
-        # Explicit "compressed" cannot be forced onto an exact-mode system.
-        assert loop._resolve_suffstats_spec("compressed") is None
-
-    def test_explicit_exact_disables_the_protocol(self):
-        loop = self._loop(CreditScoringSystem(Lender(retrain_mode="compressed")))
-        assert loop._resolve_suffstats_spec("exact") is None
+        assert suffstats_recipe(CreditScoringSystem(Lender())) is None
 
     def test_incomplete_spec_is_rejected_at_eligibility_time(self):
         """Regression: a spec missing income_threshold used to pass the
@@ -230,10 +223,5 @@ class TestSuffstatsProtocolResolution:
             def suffstats_spec(self):
                 return {"feature": "income"}
 
-        loop = self._loop(IncompleteSpecSystem(Lender(retrain_mode="compressed")))
-        assert loop._resolve_suffstats_spec(None) is None
-
-    def test_invalid_retrain_mode_is_rejected_by_run(self):
-        loop = self._loop(CreditScoringSystem(Lender()))
-        with pytest.raises(ValueError):
-            loop.run(1, rng=0, retrain_mode="subsampled")
+        system = IncompleteSpecSystem(Lender(retrain_mode="compressed"))
+        assert suffstats_recipe(system) is None

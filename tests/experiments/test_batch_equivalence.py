@@ -1,19 +1,23 @@
 """Equivalence suite: the trial-batched engine against the pinned stream.
 
 The trial-batched engine (:mod:`repro.experiments.batch`) runs all of an
-experiment's trials in lockstep through ``(trials, users)`` tensors.  Its
-contract is that every batched trial row is **bit-identical** to its serial
-:func:`~repro.experiments.runner.run_trial` twin:
+experiment's trials in lockstep: the population side (draws,
+affordability, repayment comparison) on stacked ``(trials, users)``
+blocks, and each trial's AI system, filter and history through their own
+per-trial calls.  Its contract is that every batched trial row is
+**bit-identical** to its serial :func:`~repro.experiments.runner.run_trial`
+twin:
 
 * at 200 users the batched experiment must reproduce the same golden
   SHA-256 digests as the serial engine
   (:data:`tests.experiments.harness.ENGINE_GOLDEN` — one set of hashes
   pinning four engine generations);
 * at paper scale (1000 users, 5 trials) batched and serial runs must agree
-  array-for-array across every ``history_mode`` × ``retrain_mode`` cell;
-* the fused fast paths (stacked decide/retrain for the default stack) and
-  the generic per-trial fallback (custom policy factories) must both hold
-  the contract.
+  array-for-array across every ``history_mode`` × ``retrain_mode`` cell —
+  the compressed cells refit from count tables cut out of one fused key
+  packing, the exact cells through each system's ``update``;
+* custom policy factories hold the contract too (every registered policy
+  arm is also swept in ``test_execution_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -115,11 +119,11 @@ class TestBatchedMatchesSerialAcrossModes:
 
 
 class TestBatchedRunnerSurface:
-    """Knob plumbing and the generic (non-default-stack) fallback."""
+    """Knob plumbing and custom policy factories."""
 
-    def test_custom_policy_factory_takes_generic_path(self, small_config):
-        # A subclass breaks the exact-type fast-path check, sending the run
-        # down the per-trial decide/update calls — still bit-identical.
+    def test_custom_policy_factory_matches_serial(self, small_config):
+        # A subclassed lender is decided and refit through its system's
+        # public API like any other — bit-identical to serial.
         class LoggingLender(Lender):
             pass
 
@@ -137,10 +141,10 @@ class TestBatchedRunnerSurface:
         for serial_trial, batched_trial in zip(serial.trials, batched.trials):
             _assert_full_trials_identical(serial_trial, batched_trial)
         # The subclassed lender behaves like the default one, so the run
-        # must also equal the fast-path batched result.
-        fast = run_experiment(small_config, execution="batch")
-        for fast_trial, batched_trial in zip(fast.trials, batched.trials):
-            _assert_full_trials_identical(fast_trial, batched_trial)
+        # must also equal the default factory's batched result.
+        default = run_experiment(small_config, execution="batch")
+        for default_trial, batched_trial in zip(default.trials, batched.trials):
+            _assert_full_trials_identical(default_trial, batched_trial)
 
     def test_config_knob_enables_batching(self, small_config):
         config = CaseStudyConfig(

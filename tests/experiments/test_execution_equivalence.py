@@ -21,6 +21,8 @@ This suite is the consolidated harness behind that claim:
   errors, not at step 900 of a trial;
 * a policy returning non-0/1 decisions fails with the filter's own
   error in every layout;
+* every registered campaign policy arm, in both retrain modes, matches
+  its serial run in every layout;
 * ``execution`` is the only layout knob: no entry point keeps a legacy
   layout switch beside it.
 """
@@ -34,7 +36,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import (
+    ArmRef,
+    CampaignSpec,
+    build_policy_factory,
+    policy_names,
+)
 from repro.core import planner
 from repro.core.loop import ClosedLoop
 from repro.core.streaming import AggregateHistory
@@ -187,8 +194,11 @@ class TestForbiddenCombosFailAtConfigTime:
         for record in (CaseStudyConfig, CampaignSpec):
             assert not legacy & {field.name for field in fields(record)}, record
         # The engine-level loop keeps its concrete shard switches (a plan's
-        # fields), but the transport is no longer selectable.
-        assert "shard_transport" not in inspect.signature(ClosedLoop.run).parameters
+        # fields), but neither the transport nor the refit transport (count
+        # tables vs rows, once ``retrain_mode``) is selectable.
+        loop_parameters = inspect.signature(ClosedLoop.run).parameters
+        assert "shard_transport" not in loop_parameters
+        assert "retrain_mode" not in loop_parameters
 
     def test_serial_is_the_default_layout(self):
         assert CaseStudyConfig().execution == "serial"
@@ -214,3 +224,37 @@ class TestNonBinaryDecisions:
                 policy_factory=functools.partial(_constant_policy, value),
                 execution=execution,
             )
+
+
+@functools.lru_cache(maxsize=None)
+def _serial_arm_run(arm: str, retrain_mode: str):
+    """The serial reference run of one policy arm (cached across layouts)."""
+    return run_experiment(
+        _ARM_CONFIG,
+        policy_factory=build_policy_factory(ArmRef(arm)),
+        retrain_mode=retrain_mode,
+    )
+
+
+_ARM_CONFIG = CaseStudyConfig(num_users=200, num_trials=2)
+
+
+class TestEveryPolicyArm:
+    """Each registered policy arm runs bit-identically in every layout.
+
+    Regression: the static baseline inherited the suffstats refit, which
+    ignores its training budget, so the shard pool kept retraining it
+    under ``retrain_mode="compressed"``.
+    """
+
+    @pytest.mark.parametrize("retrain_mode", ["exact", "compressed"])
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    @pytest.mark.parametrize("arm", policy_names())
+    def test_matches_serial(self, arm, execution, retrain_mode):
+        result = run_experiment(
+            _ARM_CONFIG,
+            policy_factory=build_policy_factory(ArmRef(arm)),
+            retrain_mode=retrain_mode,
+            execution=execution,
+        )
+        assert_experiments_identical(_serial_arm_run(arm, retrain_mode), result)

@@ -17,6 +17,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.campaign.spec import ArmRef, build_policy_factory
 from repro.core.checkpoint import CheckpointError, list_checkpoints
 from repro.core.supervision import SupervisorPolicy
 from repro.experiments.config import CaseStudyConfig
@@ -156,6 +157,30 @@ class TestCheckpointResume:
             ft_config,
             trial_index=0,
             retrain_mode="compressed",
+            checkpoint_dir=str(tmp_path),
+            checkpoint_every=3,
+            resume=True,
+        )
+        assert_trials_identical(golden, resumed)
+
+    def test_resumed_static_baseline_is_bit_identical(self, ft_config, tmp_path):
+        # Regression: the static baseline's snapshot dropped its spent
+        # training budget, so a resumed run retrained it once more.
+        static = build_policy_factory(ArmRef("static"))
+        golden = run_trial(ft_config, trial_index=0, policy_factory=static)
+        install_plan([FaultSpec(site="loop_step", kind="raise", step=8)])
+        with pytest.raises(FaultInjected):
+            run_trial(
+                ft_config,
+                trial_index=0,
+                policy_factory=static,
+                checkpoint_dir=str(tmp_path),
+                checkpoint_every=3,
+            )
+        resumed = run_trial(
+            ft_config,
+            trial_index=0,
+            policy_factory=static,
             checkpoint_dir=str(tmp_path),
             checkpoint_every=3,
             resume=True,
@@ -333,6 +358,37 @@ class TestSupervisedShardPool:
         with pytest.warns(RuntimeWarning, match="rebuilding the pool"):
             recovered = self._pooled(ft_config, tmp_path)
         assert_trials_identical(golden_trial, recovered)
+
+    def test_static_baseline_rolls_back_with_its_spent_budget(
+        self, ft_config, tmp_path
+    ):
+        # The rollback target is the step-3 checkpoint, when the static
+        # baseline has spent 3 of its 5 training rounds; the failed attempt
+        # spent all 5 before step 5, so the restore must hand 2 back.
+        static = build_policy_factory(ArmRef("static", (("training_rounds", 5),)))
+        golden = run_trial(ft_config, trial_index=0, policy_factory=static)
+        os.environ.update(
+            plan_environment(
+                [
+                    FaultSpec(
+                        site="shard_worker_respond",
+                        kind="raise",
+                        shard=0,
+                        step=5,
+                    )
+                ],
+                state_dir=tmp_path,
+            )
+        )
+        with pytest.warns(RuntimeWarning, match="rebuilding the pool"):
+            recovered = self._pooled(
+                ft_config,
+                tmp_path,
+                policy_factory=static,
+                checkpoint_dir=str(tmp_path / "snapshots"),
+                checkpoint_every=3,
+            )
+        assert_trials_identical(golden, recovered)
 
     def test_hung_worker_times_out_and_is_retried(
         self, ft_config, golden_trial, tmp_path
