@@ -17,7 +17,10 @@ persists the numbers to ``BENCH_core.json``):
   the full-history recorder's overhead (each mode measured in its own
   subprocess, at 150k users by default and the million-user workload under
   ``REPRO_FULL_BENCH=1``; ``benchmarks/record_core_bench.py`` persists the
-  full-scale numbers to ``BENCH_core.json``).
+  full-scale numbers to ``BENCH_core.json``);
+* the one-core guard: a serial 200k-user aggregate trial must use no more
+  than 1.25 CPU-seconds per wall second, i.e. no per-step call may hand
+  work to a library thread pool that then spins beside the loop.
 """
 
 from __future__ import annotations
@@ -279,6 +282,45 @@ def test_bench_trial_batched():
         f"(median {speedup:.2f}x)"
     )
     assert speedup >= 2.0
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2,
+    reason="a one-CPU host cannot run a helper thread in parallel",
+)
+def test_bench_serial_trial_stays_on_one_core():
+    """A serial aggregate trial must not burn CPU on threads it never asked for.
+
+    A 200k-user, 20-step ``run_trial`` with aggregate history and the
+    compressed refit is single-threaded Python plus numpy, so its process
+    CPU time (every thread counted) should about equal its wall time.  A
+    BLAS call large enough for OpenBLAS to split over its threads breaks
+    that: after each call the helper thread busy-waits on another core,
+    and the ratio climbs towards the core count (about 1.85 on a 2-CPU
+    host when the streaming aggregator still reduced with ``np.dot``).  A
+    slow or loaded host can only lower the ratio, never raise it.
+    """
+    config = CaseStudyConfig(
+        num_users=200_000,
+        num_trials=1,
+        end_year=2021,
+        history_mode="aggregate",
+        retrain_mode="compressed",
+    )
+    cpu_start, wall_start = time.process_time(), time.perf_counter()
+    result = run_trial(config, trial_index=0)
+    cpu_seconds = time.process_time() - cpu_start
+    wall_seconds = time.perf_counter() - wall_start
+    ratio = cpu_seconds / max(wall_seconds, 1e-12)
+    print(
+        f"\nserial 200k aggregate/compressed trial: {cpu_seconds:.2f} CPU-s in "
+        f"{wall_seconds:.2f} s wall (ratio {ratio:.2f})"
+    )
+    assert result.history.num_steps == config.num_steps
+    assert ratio <= 1.25, (
+        f"serial trial used {ratio:.2f} CPU-s per wall second; some per-step "
+        "call is running on extra threads"
+    )
 
 
 def test_bench_checkpoint_overhead(monkeypatch):

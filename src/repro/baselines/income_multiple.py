@@ -17,6 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.utils.validation import require_non_negative, require_probability
+
 __all__ = ["IncomeMultiplePolicy"]
 
 
@@ -37,11 +39,9 @@ class IncomeMultiplePolicy:
     def __init__(
         self, minimum_income: float = 0.0, max_default_rate: float | None = None
     ) -> None:
-        if minimum_income < 0:
-            raise ValueError("minimum_income must be non-negative")
-        if max_default_rate is not None and not 0.0 <= max_default_rate <= 1.0:
-            raise ValueError("max_default_rate must lie in [0, 1] when given")
-        self._minimum_income = float(minimum_income)
+        if max_default_rate is not None:
+            require_probability(max_default_rate, "max_default_rate")
+        self._minimum_income = require_non_negative(minimum_income, "minimum_income")
         self._max_default_rate = max_default_rate
 
     @property

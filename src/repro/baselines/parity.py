@@ -18,6 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.credit.lender import Lender
+from repro.utils.validation import require_positive_probability
 
 __all__ = ["GroupThresholdPolicy"]
 
@@ -45,10 +46,10 @@ class GroupThresholdPolicy:
     ) -> None:
         if not groups:
             raise ValueError("groups must not be empty")
-        if not 0.0 < target_approval_rate <= 1.0:
-            raise ValueError("target_approval_rate must lie in (0, 1]")
         self._groups = {key: np.asarray(indices, dtype=int) for key, indices in groups.items()}
-        self._target = float(target_approval_rate)
+        self._target = require_positive_probability(
+            target_approval_rate, "target_approval_rate"
+        )
         self._lender = lender or Lender()
 
     @property

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.ai_system import CreditScoringSystem
 from repro.credit.lender import Lender
+from repro.utils.validation import require_integer, require_positive
 
 __all__ = ["StaticCreditScoringSystem"]
 
@@ -38,10 +39,9 @@ class StaticCreditScoringSystem:
     """
 
     def __init__(self, lender: Lender | None = None, training_rounds: int = 1) -> None:
-        if training_rounds < 1:
-            raise ValueError("training_rounds must be at least 1")
+        self._training_rounds = require_integer(training_rounds, "training_rounds")
+        require_positive(self._training_rounds, "training_rounds")
         self._system = CreditScoringSystem(lender)
-        self._training_rounds = int(training_rounds)
         self._updates_done = 0
 
     @property

@@ -17,6 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.utils.validation import require_probability
+
 __all__ = ["UniformLimitPolicy"]
 
 
@@ -32,9 +34,9 @@ class UniformLimitPolicy:
     """
 
     def __init__(self, max_default_rate: float = 0.0) -> None:
-        if not 0.0 <= max_default_rate <= 1.0:
-            raise ValueError("max_default_rate must lie in [0, 1]")
-        self._max_default_rate = float(max_default_rate)
+        self._max_default_rate = require_probability(
+            max_default_rate, "max_default_rate"
+        )
 
     @property
     def max_default_rate(self) -> float:

@@ -16,8 +16,10 @@ policies (:mod:`repro.baselines`) and the control-theoretic interventions
 unknown names fail at validation time with the known vocabulary in the
 error, not at job 900 of a sweep.  The same holds for value types: every
 count must be an integer, every flag a boolean and every numeric arm
-parameter a finite real number, checked when the spec is built — never
-coerced, and never left to fail inside a job worker.
+parameter a finite real number inside the range its arm accepts (a
+``downshift`` in [0, 1], ``training_rounds`` at least 1, ...), checked
+when the spec is built — never coerced, and never left to fail inside a
+job worker.
 """
 
 from __future__ import annotations
@@ -42,7 +44,15 @@ from repro.credit.lender import Lender
 from repro.data.census import IncomeTable, Race
 from repro.data.scenarios import recession_scenario, widening_gap_scenario
 from repro.experiments.config import CaseStudyConfig
-from repro.utils.validation import require_flag, require_integer, require_real
+from repro.utils.validation import (
+    require_flag,
+    require_integer,
+    require_non_negative,
+    require_positive,
+    require_positive_probability,
+    require_probability,
+    require_real,
+)
 
 __all__ = [
     "ArmRef",
@@ -55,13 +65,15 @@ __all__ = [
 ]
 
 #: Registered scenario names → their keyword parameters → the parameter
-#: kind (see :func:`_check_param`).
+#: kind (see :func:`_check_param`).  Each kind carries the range the arm's
+#: constructor enforces, so an out-of-range value fails when the spec is
+#: built instead of inside a job worker.
 _SCENARIOS: Dict[str, Dict[str, str]] = {
     "baseline": {},
-    "recession": {"shock_years": "years", "downshift": "real"},
+    "recession": {"shock_years": "years", "downshift": "probability"},
     "widening-gap": {
         "disadvantaged": "race",
-        "annual_downshift": "real",
+        "annual_downshift": "probability",
         "start_year": "int",
     },
 }
@@ -69,12 +81,22 @@ _SCENARIOS: Dict[str, Dict[str, str]] = {
 #: Registered policy names → their keyword parameters → the parameter kind.
 _POLICIES: Dict[str, Dict[str, str]] = {
     "retraining": {},
-    "static": {"training_rounds": "int"},
-    "uniform-limit": {"max_default_rate": "real"},
-    "income-multiple": {"minimum_income": "real", "max_default_rate": "real or none"},
-    "parity": {"target_approval_rate": "real"},
+    "static": {"training_rounds": "positive int"},
+    "uniform-limit": {"max_default_rate": "probability"},
+    "income-multiple": {
+        "minimum_income": "non-negative",
+        "max_default_rate": "probability or none",
+    },
+    "parity": {"target_approval_rate": "positive probability"},
     "steering": {"gain": "real"},
-    "epsilon-greedy": {"epsilon": "real", "exploration_seed": "int"},
+    "epsilon-greedy": {"epsilon": "probability", "exploration_seed": "int"},
+}
+
+#: Range checks of the real-valued kinds, applied after ``require_real``.
+_REAL_RANGES = {
+    "probability": require_probability,
+    "positive probability": require_positive_probability,
+    "non-negative": require_non_negative,
 }
 
 
@@ -94,13 +116,19 @@ def _race(value: object, name: str) -> Race:
 
 
 def _check_param(kind: str, name: str, value: object) -> None:
-    """Reject an arm parameter whose type the arm cannot use."""
-    if kind == "real or none" and value is None:
-        return
-    if kind in ("real", "real or none"):
+    """Reject an arm parameter whose type or range the arm cannot use."""
+    if kind.endswith(" or none"):
+        if value is None:
+            return
+        kind = kind.removesuffix(" or none")
+    if kind == "real":
         require_real(value, name)
+    elif kind in _REAL_RANGES:
+        _REAL_RANGES[kind](require_real(value, name), name)
     elif kind == "int":
         require_integer(value, name)
+    elif kind == "positive int":
+        require_positive(require_integer(value, name), name)
     elif kind == "years":
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{name} must be an array of years, got {value!r}")

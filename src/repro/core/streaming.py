@@ -40,6 +40,10 @@ exactly; the floating-point group sums merge as ``sum_a + sum_b``, which
 differs from the single-stream sequential fold by at most the usual
 last-ulp reassociation error (the property suite asserts exactness for
 dyadic inputs and tight agreement in general).
+
+No per-step reduction here goes through BLAS: every sum is numpy's own
+pairwise or sequential fold, so the series are the same bits on any host
+and the record phase runs on the calling thread only.
 """
 
 from __future__ import annotations
@@ -270,8 +274,11 @@ class StreamingAggregator:
             else 1.0 - repayments_total / offers_total
         )
         self._rate_sums[row] = float(rates.sum())
-        # dot avoids materialising an O(users) squared temporary.
-        self._rate_sumsqs[row] = float(np.dot(rates, rates))
+        # Square, then numpy's pairwise sum, as for rate_sums: never BLAS.
+        # OpenBLAS runs a large ddot on threads the process does not own
+        # (its helper spins on a core after each call, against the shard
+        # workers) and its result bits depend on the host's thread count.
+        self._rate_sumsqs[row] = float(np.square(rates).sum())
         self._rate_mins[row] = float(rates.min())
         self._rate_maxs[row] = float(rates.max())
         self._rate_hist[row], _ = np.histogram(rates, bins=self._rate_edges)

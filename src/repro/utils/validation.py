@@ -16,6 +16,7 @@ __all__ = [
     "require_positive",
     "require_non_negative",
     "require_probability",
+    "require_positive_probability",
     "require_probability_vector",
     "require_in_range",
     "require_integer",
@@ -50,6 +51,13 @@ def require_probability(value: float, name: str) -> float:
     """Return ``value`` if it lies in the closed interval [0, 1], else raise."""
     if not math.isfinite(value) or value < 0 or value > 1:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
+
+
+def require_positive_probability(value: float, name: str) -> float:
+    """Return ``value`` if it lies in the half-open interval (0, 1], else raise."""
+    if not math.isfinite(value) or value <= 0 or value > 1:
+        raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
     return float(value)
 
 

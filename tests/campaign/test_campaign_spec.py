@@ -111,6 +111,41 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=key):
             CampaignSpec(**{axis: ({"name": arm, key: value},)})
 
+    @pytest.mark.parametrize(
+        "axis,arm,key,value",
+        [
+            ("scenarios", "recession", "downshift", 1.5),
+            ("scenarios", "widening-gap", "annual_downshift", -0.1),
+            ("policies", "uniform-limit", "max_default_rate", 1.5),
+            ("policies", "income-multiple", "max_default_rate", -0.2),
+            ("policies", "income-multiple", "minimum_income", -1.0),
+            ("policies", "parity", "target_approval_rate", 0.0),
+            ("policies", "epsilon-greedy", "epsilon", 2.0),
+            ("policies", "static", "training_rounds", 0),
+        ],
+    )
+    def test_out_of_range_arm_parameters_fail_at_spec_time(self, axis, arm, key, value):
+        # The arm's constructor would reject the value inside a job worker,
+        # after the job pool has spent its retries; the spec rejects it first.
+        with pytest.raises(ValueError, match=key):
+            CampaignSpec(**{axis: ({"name": arm, key: value},)})
+
+    def test_arm_parameter_bounds_are_inclusive_where_the_arm_allows(self):
+        spec = CampaignSpec(
+            scenarios=(
+                {"name": "recession", "downshift": 0.0},
+                {"name": "widening-gap", "annual_downshift": 1.0},
+            ),
+            policies=(
+                {"name": "uniform-limit", "max_default_rate": 1.0},
+                {"name": "income-multiple", "minimum_income": 0.0},
+                {"name": "parity", "target_approval_rate": 1.0},
+                {"name": "epsilon-greedy", "epsilon": 0.0},
+                {"name": "static", "training_rounds": 1},
+            ),
+        )
+        assert spec.grid_size == 10
+
     def test_typed_values_are_kept_as_given(self):
         spec = CampaignSpec(
             scenarios=({"name": "recession", "downshift": 1, "shock_years": [2008]},),

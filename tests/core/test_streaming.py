@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.history import FullHistoryRequiredError, StepRecord
 from repro.core.streaming import AggregateHistory, StreamingAggregator, sequential_sum
+
+SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+
+#: Environment variables OpenBLAS reads its thread count from.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _binary_stream(num_steps: int, num_users: int, seed: int = 0):
@@ -254,3 +265,76 @@ class TestSequentialSumHelper:
 
     def test_single_element(self):
         assert sequential_sum(np.array([0.3])) == 0.3
+
+
+class TestHostIndependence:
+    """The aggregate series are the same bits whatever the BLAS thread count.
+
+    OpenBLAS splits a large reduction over its threads, and the partial
+    sums then combine in an order that depends on how many there are.  The
+    aggregator must not route any per-step reduction through BLAS, so a
+    stream folded with one BLAS thread and one folded with the library's
+    default (one per core) give byte-identical series.
+    """
+
+    _CHILD = textwrap.dedent(
+        """
+        import json
+        import numpy as np
+        from repro.core.streaming import StreamingAggregator
+
+        num_users, num_steps = 120_000, 3
+        rng = np.random.default_rng(20240101)
+        groups = {"a": np.arange(0, num_users, 3), "b": np.arange(1, num_users, 3)}
+        aggregator = StreamingAggregator(num_users, groups=groups)
+        for _ in range(num_steps):
+            decisions = (rng.random(num_users) < 0.8).astype(float)
+            actions = (rng.random(num_users) < 0.7).astype(float) * decisions
+            aggregator.update(decisions, actions)
+        series = {
+            "rate_sumsq": aggregator.rate_sumsq_series(),
+            "rate_sum": aggregator.rate_sum_series(),
+        }
+        for name, mapping in (
+            ("group_rate", aggregator.group_default_rate_series()),
+            ("group_action", aggregator.group_action_average_series()),
+            ("group_approval", aggregator.group_approval_series()),
+        ):
+            for key, values in mapping.items():
+                series[f"{name}[{key}]"] = values
+        print(json.dumps({name: values.tobytes().hex() for name, values in series.items()}))
+        """
+    )
+
+    def _series_bytes(self, blas_threads: str | None) -> dict:
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if key not in _BLAS_THREAD_VARIABLES
+        }
+        env["PYTHONPATH"] = SRC_DIR
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        proc = subprocess.run(
+            [sys.executable, "-c", self._CHILD],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2,
+        reason="OpenBLAS never uses threads on a one-CPU host",
+    )
+    def test_series_do_not_depend_on_the_blas_thread_count(self):
+        one_thread = self._series_bytes("1")
+        default_threads = self._series_bytes(None)
+        assert set(one_thread) == set(default_threads)
+        differing = sorted(
+            name for name in one_thread if one_thread[name] != default_threads[name]
+        )
+        assert not differing, (
+            f"aggregate series depend on the BLAS thread count: {differing}"
+        )

@@ -13,6 +13,7 @@ from repro.utils.validation import (
     require_integer,
     require_non_negative,
     require_positive,
+    require_positive_probability,
     require_probability,
     require_probability_vector,
     require_real,
@@ -48,6 +49,17 @@ class TestRequireProbability:
     def test_rejects_outside(self, value):
         with pytest.raises(ValueError):
             require_probability(value, "p")
+
+
+class TestRequirePositiveProbability:
+    @pytest.mark.parametrize("value", [1e-12, 0.5, 1.0])
+    def test_accepts_half_open_unit_interval(self, value):
+        assert require_positive_probability(value, "p") == value
+
+    @pytest.mark.parametrize("value", [0.0, -0.01, 1.01, math.nan])
+    def test_rejects_outside(self, value):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            require_positive_probability(value, "p")
 
 
 class TestRequireProbabilityVector:
